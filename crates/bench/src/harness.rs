@@ -202,8 +202,6 @@ pub fn default_rma_config(ctx: &ExperimentContext) -> RmaConfig {
         delta: 0.001,
         tau: 0.1,
         rho: 0.1,
-        strategy: RrStrategy::Standard,
-        num_threads: ctx.threads,
         max_rr_per_collection: ctx.rma_max_rr,
         seed: ctx.seed,
     }

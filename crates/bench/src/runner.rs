@@ -346,8 +346,8 @@ pub fn write_outputs(
 }
 
 /// Locate `scenarios/<stem>.toml` from the current directory or relative to
-/// the workspace root (so `cargo run -p rmsa-bench --bin fig1_…` works from
-/// anywhere inside the repository).
+/// the workspace root (so `rmsa run fig1` works from anywhere inside the
+/// repository).
 pub fn find_scenario(stem: &str) -> Option<PathBuf> {
     let file = format!("{stem}.toml");
     let candidates = [
@@ -385,25 +385,6 @@ pub fn default_parallel_jobs(ctx: &ExperimentContext) -> usize {
         .map(|n| n.get())
         .unwrap_or(1);
     (cores / ctx.threads.max(1)).max(1)
-}
-
-/// Entry point of the thin figure/table binaries: run
-/// `scenarios/<stem>.toml` with environment-driven settings and write the
-/// CSV + `BENCH_*.json` outputs. `RMSA_BENCH_QUICK=1` selects the quick
-/// profile.
-pub fn scenario_main(stem: &str) {
-    let path = find_scenario(stem)
-        .unwrap_or_else(|| panic!("scenario manifest scenarios/{stem}.toml not found"));
-    let scenario = Scenario::load(&path).unwrap_or_else(|e| panic!("{e}"));
-    let ctx = ExperimentContext::from_env();
-    let quick = env_flag("RMSA_BENCH_QUICK");
-    let jobs = default_parallel_jobs(&ctx);
-    let output = run_scenario(&scenario, &ctx, quick, jobs).unwrap_or_else(|e| panic!("{e}"));
-    print!("{}", output.console);
-    let (csv_path, json_path) =
-        write_outputs(&scenario, &output, None).expect("write scenario outputs");
-    println!("\nwrote {}", csv_path.display());
-    println!("wrote {}", json_path.display());
 }
 
 #[cfg(test)]

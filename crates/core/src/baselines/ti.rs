@@ -35,8 +35,10 @@ pub enum TiRule {
 
 /// Configuration shared by TI-CARM and TI-CSRM.
 ///
-/// Request-facing: carries serde derives so serving layers can embed it
-/// in wire/report schemas.
+/// The serde derives are inert: the vendored shim expands them to nothing
+/// and no code serialises this struct. The daemon fixes one per session
+/// from its experiment context; its wire format is the hand-written `json`
+/// module, which never carries a config.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct TiConfig {
     /// Estimation accuracy ε of Eq. (5); the paper uses 0.1–0.3.
@@ -309,40 +311,6 @@ pub fn ti_baseline<M: PropagationModel + ?Sized>(
         memory_bytes: memory,
         elapsed: start.elapsed(),
     })
-}
-
-/// TI-CARM of [5].
-#[deprecated(
-    since = "0.2.0",
-    note = "use the unified solver API: `rmsa_core::solver::TiCarm` with a `SolveContext`"
-)]
-#[allow(clippy::expect_used)]
-pub fn ti_carm<M: PropagationModel>(
-    graph: &DirectedGraph,
-    model: &M,
-    instance: &RmInstance,
-    config: &TiConfig,
-) -> TiResult {
-    ti_baseline(graph, model, instance, config, TiRule::CostAgnostic)
-        // lint: allow(R1, reason = "deprecated pre-0.2 API whose documented contract is to panic on invalid configuration")
-        .expect("invalid TI configuration")
-}
-
-/// TI-CSRM of [5].
-#[deprecated(
-    since = "0.2.0",
-    note = "use the unified solver API: `rmsa_core::solver::TiCsrm` with a `SolveContext`"
-)]
-#[allow(clippy::expect_used)]
-pub fn ti_csrm<M: PropagationModel>(
-    graph: &DirectedGraph,
-    model: &M,
-    instance: &RmInstance,
-    config: &TiConfig,
-) -> TiResult {
-    ti_baseline(graph, model, instance, config, TiRule::CostSensitive)
-        // lint: allow(R1, reason = "deprecated pre-0.2 API whose documented contract is to panic on invalid configuration")
-        .expect("invalid TI configuration")
 }
 
 #[cfg(test)]

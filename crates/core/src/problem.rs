@@ -32,23 +32,6 @@ impl Advertiser {
         }
         Ok(Advertiser { budget, cpe })
     }
-
-    /// Construct an advertiser; panics on non-positive budget or CPE.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Advertiser::try_new` and handle `RmError`"
-    )]
-    pub fn new(budget: f64, cpe: f64) -> Self {
-        match Self::try_new(budget, cpe) {
-            Ok(a) => a,
-            Err(RmError::InvalidParameter { name: "budget", .. }) => {
-                // lint: allow(R1, reason = "deprecated constructor documented to panic; try_new is the fallible path")
-                panic!("budget must be positive")
-            }
-            // lint: allow(R1, reason = "deprecated constructor documented to panic; try_new is the fallible path")
-            Err(_) => panic!("cpe must be positive"),
-        }
-    }
 }
 
 /// Seed-incentive costs `c_i(u)`.
@@ -136,26 +119,6 @@ impl RmInstance {
             advertisers,
             costs,
         })
-    }
-
-    /// Create an instance; panics on dimension mismatches.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `RmInstance::try_new` and handle `RmError`"
-    )]
-    pub fn new(num_nodes: usize, advertisers: Vec<Advertiser>, costs: SeedCosts) -> Self {
-        match Self::try_new(num_nodes, advertisers, costs) {
-            Ok(inst) => inst,
-            // lint: allow(R1, reason = "deprecated constructor documented to panic; try_new is the fallible path")
-            Err(RmError::NoAdvertisers) => panic!("at least one advertiser required"),
-            Err(RmError::DimensionMismatch {
-                what: "per-ad cost rows",
-                ..
-                // lint: allow(R1, reason = "deprecated constructor documented to panic; try_new is the fallible path")
-            }) => panic!("one cost row per advertiser"),
-            // lint: allow(R1, reason = "deprecated constructor documented to panic; try_new is the fallible path")
-            Err(_) => panic!("cost table does not cover every node"),
-        }
     }
 
     /// Number of advertisers `h`.
@@ -427,12 +390,5 @@ mod tests {
             RmInstance::try_new(0, Vec::new(), SeedCosts::Shared(Vec::new())),
             Err(RmError::NoAdvertisers)
         ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "budget must be positive")]
-    fn deprecated_constructor_still_panics() {
-        Advertiser::new(0.0, 1.0);
     }
 }

@@ -1,7 +1,8 @@
 //! Solver-trait coverage for per-advertiser seed costs
 //! (`SeedCosts::PerAd`): budget feasibility and allocation disjointness
 //! must hold through the unified `Solver` API on both the oracle and the
-//! sampling paths.
+//! sampling paths, and sampling results must not depend on the workbench's
+//! thread count.
 
 use rmsa::prelude::*;
 
@@ -66,7 +67,6 @@ fn sampling_solvers_respect_per_ad_costs() {
     let cfg = RmaConfig {
         epsilon: 0.1,
         rho: 0.2,
-        num_threads: 1,
         max_rr_per_collection: 30_000,
         ..RmaConfig::default()
     };
@@ -90,6 +90,54 @@ fn sampling_solvers_respect_per_ad_costs() {
         .unwrap();
     // The plain greedy baselines enforce the exact budget, no relaxation.
     check_feasibility(&sampled_greedy, &instance, 1.0);
+}
+
+#[test]
+fn workbench_thread_count_never_changes_sampling_results() {
+    // `WorkbenchBuilder::threads` is the only thread knob: RR-set
+    // generation is chunked on (seed, chunk index), so the worker count may
+    // change speed but never the seed sets or the revenue.
+    let (graph, model, instance) = per_ad_world(3);
+    let cfg = RmaConfig {
+        epsilon: 0.1,
+        rho: 0.2,
+        max_rr_per_collection: 30_000,
+        ..RmaConfig::default()
+    };
+    let solve = |threads: usize| {
+        let wb = Workbench::builder()
+            .graph(graph.clone())
+            .model(model.clone())
+            .threads(threads)
+            .seed(20_240_101)
+            .build()
+            .unwrap();
+        [
+            wb.run_solver(&Rma::new(cfg.clone()), &instance).unwrap(),
+            wb.run_solver(&OneBatch::new(cfg.clone(), 10_000), &instance)
+                .unwrap(),
+        ]
+    };
+    for (one, three) in solve(1).iter().zip(&solve(3)) {
+        assert!(one.allocation.total_seeds() > 0, "{}: no seeds", one.solver);
+        assert_eq!(
+            one.allocation, three.allocation,
+            "{}: seed sets depend on the thread count",
+            one.solver
+        );
+        assert_eq!(
+            one.revenue_estimate.to_bits(),
+            three.revenue_estimate.to_bits(),
+            "{}: revenue depends on the thread count",
+            one.solver
+        );
+        assert_eq!(
+            one.revenue_lower_bound.map(f64::to_bits),
+            three.revenue_lower_bound.map(f64::to_bits),
+            "{}: certified bound depends on the thread count",
+            one.solver
+        );
+    }
 }
 
 #[test]
