@@ -11,10 +11,13 @@
 //! runs unchanged on top of it. It wraps a [`CoverageView`] — an immutable
 //! snapshot of a shared, incrementally extended coverage index — so
 //! constructing an estimator over a cached stream costs a few `Arc` bumps
-//! instead of an index rebuild, and the per-`(ad, node)` singleton counts
-//! are maintained once per index extension, never per estimator. The
-//! incremental state keeps a packed `u64` covered-bitmap over the RR-sets
-//! so marginal-gain queries cost `O(#RR-sets containing u)`.
+//! instead of an index rebuild. The index groups its postings by
+//! `(node, advertiser)`, and the incremental state keeps a packed `u64`
+//! covered-bitmap over the RR-sets, so a marginal-gain query for
+//! advertiser i costs `O(#RR-sets of ad i containing u)` plus a short
+//! search among u's runs per index segment: it reads only i's own
+//! postings, never the other advertisers'. A singleton count is the
+//! summed length of those runs, `O(#segments)`.
 
 use crate::oracle::{RevenueOracle, SeedState};
 use rmsa_diffusion::{AdId, CoverBitset, CoverageIndex, CoverageView, RrArena};
@@ -160,11 +163,9 @@ impl RevenueOracle for RrRevenueEstimator {
     }
 
     fn marginal_gain(&self, state: &RrSeedState, u: NodeId) -> f64 {
-        let ad = state.ad as u32;
-        let ads = self.view.ads();
         let mut newly = 0usize;
-        self.view.for_each_rr_containing(u, |rr| {
-            if ads[rr as usize] == ad && !state.covered.test(rr) {
+        self.view.for_each_rr_of_containing(state.ad, u, |rr| {
+            if !state.covered.test(rr) {
                 newly += 1;
             }
         });
@@ -172,10 +173,8 @@ impl RevenueOracle for RrRevenueEstimator {
     }
 
     fn add_seed(&self, state: &mut RrSeedState, u: NodeId) {
-        let ad = state.ad as u32;
-        let ads = self.view.ads();
-        self.view.for_each_rr_containing(u, |rr| {
-            if ads[rr as usize] == ad && state.covered.set(rr) {
+        self.view.for_each_rr_of_containing(state.ad, u, |rr| {
+            if state.covered.set(rr) {
                 state.covered_count += 1;
             }
         });

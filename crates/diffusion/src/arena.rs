@@ -12,14 +12,26 @@
 //!   the sets, and a parallel `ads` column with each set's advertiser.
 //!   Appending a set is a bump-pointer push; the memory footprint is a
 //!   closed-form function of three vector capacities.
-//! * [`CoverageIndex`] — the inverted `node → RR-set` index, stored as a
-//!   sequence of immutable CSR *segments*. Extending the arena appends one
-//!   new segment covering exactly the new sets; the segments indexed for a
-//!   smaller collection are never touched again (the *extend-never-rebuild*
-//!   rule). [`CoverageIndex::view`] takes an O(#segments) snapshot — a
-//!   [`CoverageView`] — that stays valid and immutable while the index
-//!   keeps growing, which is what lets estimators built at different
-//!   sample sizes θ share one index.
+//! * [`CoverageIndex`] — the inverted `(node, advertiser) → RR-set` index,
+//!   stored as a sequence of immutable CSR *segments*. Extending the arena
+//!   appends one new segment covering exactly the new sets; the segments
+//!   indexed for a smaller collection are never touched again (the
+//!   *extend-never-rebuild* rule). [`CoverageIndex::view`] takes an
+//!   O(#segments) snapshot — a [`CoverageView`] — that stays valid and
+//!   immutable while the index keeps growing, which is what lets
+//!   estimators built at different sample sizes θ share one index.
+//!
+//! A segment groups its postings by `(node, advertiser)`: each node owns
+//! a short list of non-empty runs, one per advertiser with a set
+//! containing it, and the `(u, ad)` run holds the ascending ids of the
+//! segment's RR-sets generated for `ad` that contain `u`. The paper's
+//! per-advertiser estimator π̃_i counts only advertiser i's RR-sets, so a
+//! marginal-gain query finds its run among the node's runs and reads it,
+//! never looking at another advertiser's postings. Only non-empty runs
+//! are stored, so the run tables grow with the postings, never with
+//! `n · h`. The index keeps no per-set advertiser column (the arena
+//! already stores one) and no singleton-count column: a singleton count
+//! is the summed length of one run per segment.
 //!
 //! Generation is deterministic in a thread-count independent way: work is
 //! split into fixed-size chunks of [`GENERATION_CHUNK`] RR-sets and every
@@ -31,10 +43,14 @@
 //! and shards concatenate in order — so the result is bit-identical to
 //! unsharded generation for any shard count.
 //!
-//! All three arena columns and both CSR columns of every coverage segment
+//! All three arena columns and the four columns of every coverage segment
 //! are [`rmsa_store::Column`]s: owned when generated or decoded from
 //! in-memory bytes, borrowed zero-copy when restored from an aligned v2
-//! snapshot mapping.
+//! snapshot mapping. Snapshots written before the `(node, advertiser)`
+//! layout hold node-major segments (one run per node, every advertiser
+//! mixed); [`crate::snapshot::read_index`] still reads them and
+//! re-buckets each segment into the current layout, owned, using the
+//! arena's advertiser column.
 
 use crate::models::{AdId, PropagationModel};
 use crate::rr::{RrGenerator, RrStrategy};
@@ -564,13 +580,25 @@ fn chunk_rng(seed: u64, chunk: usize) -> Pcg64Mcg {
 /// One immutable CSR block of the inverted index, covering RR-sets
 /// `[rr_base, rr_base + num_sets)`. Once built, a segment is never
 /// modified — prefix views stay valid while the index grows.
+///
+/// Postings are grouped by node, and within a node by advertiser. Node
+/// `u`'s runs are `node_runs[u]..node_runs[u + 1]`; run `r` belongs to
+/// advertiser `run_ads[r]` (strictly ascending within a node) and holds
+/// the ascending absolute ids `entries[run_offsets[r]..run_offsets[r + 1]]`
+/// of this segment's RR-sets generated for that advertiser that contain
+/// `u`. Only non-empty runs are stored: a segment with `E` postings in
+/// `R ≤ E` runs takes `4 · (n + 1) + 4 · (2R + 1) + 4 · E` bytes.
 #[derive(Debug)]
 pub struct CoverageSegment {
     pub(crate) rr_base: u32,
     pub(crate) num_sets: u32,
-    /// Per-node slice boundaries into `entries`; length `num_nodes + 1`.
-    pub(crate) offsets: Column<u32>,
-    /// Ascending absolute RR-set ids, grouped by node.
+    /// Per-node run ranges; length `num_nodes + 1`.
+    pub(crate) node_runs: Column<u32>,
+    /// Advertiser of each run.
+    pub(crate) run_ads: Column<u32>,
+    /// Run boundaries into `entries`; length `#runs + 1`.
+    pub(crate) run_offsets: Column<u32>,
+    /// Absolute RR-set ids, ascending within each run.
     pub(crate) entries: Column<u32>,
 }
 
@@ -585,41 +613,147 @@ impl CoverageSegment {
         self.num_sets
     }
 
-    /// Absolute ids of the covered RR-sets containing `node`.
-    pub fn rr_containing(&self, node: NodeId) -> &[u32] {
+    /// Ascending absolute ids of the covered RR-sets generated for `ad`
+    /// that contain `node` (empty when there are none).
+    pub fn rr_of_containing(&self, ad: AdId, node: NodeId) -> &[u32] {
         let u = node as usize;
-        &self.entries[self.offsets[u] as usize..self.offsets[u + 1] as usize]
+        let runs = self.node_runs[u] as usize..self.node_runs[u + 1] as usize;
+        let Ok(ad) = u32::try_from(ad) else {
+            return &[];
+        };
+        match self.run_ads[runs.clone()].binary_search(&ad) {
+            Ok(i) => {
+                let r = runs.start + i;
+                &self.entries[self.run_offsets[r] as usize..self.run_offsets[r + 1] as usize]
+            }
+            Err(_) => &[],
+        }
+    }
+
+    /// Index arena sets `[from, to)`, whose ids and member entries fit
+    /// in u32 and whose advertisers are below `num_ads`.
+    ///
+    /// A counting sort of the postings by node, walking the sets in id
+    /// order, then a stable counting sort of each node's ids by
+    /// advertiser, which splits them into the node's runs. The second
+    /// sort visits only the advertisers present at the node, so no pass
+    /// walks `n · h` cells.
+    pub(crate) fn build(arena: &RrArena, from: usize, to: usize, num_ads: usize) -> Self {
+        let num_nodes = arena.num_nodes();
+        let members = arena.nodes_of_range(from, to);
+        let mut node_offsets = vec![0u32; num_nodes + 1];
+        for &u in members {
+            node_offsets[u as usize + 1] += 1;
+        }
+        for u in 0..num_nodes {
+            node_offsets[u + 1] += node_offsets[u];
+        }
+        let mut entries = vec![0u32; members.len()];
+        let mut cursor = node_offsets.clone();
+        for i in from..to {
+            assert!(arena.ad_of(i) < num_ads, "advertiser id out of range");
+            for &u in arena.nodes_of(i) {
+                let c = &mut cursor[u as usize];
+                entries[*c as usize] = i as u32;
+                *c += 1;
+            }
+        }
+
+        let mut node_runs = Vec::with_capacity(num_nodes + 1);
+        let mut run_ads = Vec::new();
+        let mut run_offsets = Vec::new();
+        // Per-advertiser counts (zero between nodes) and one node's
+        // scratch: its ids' advertisers, the advertisers present, the
+        // sorted ids.
+        let mut counts = vec![0u32; num_ads];
+        let (mut bucket_ads, mut present, mut sorted) = (Vec::new(), Vec::new(), Vec::new());
+        node_runs.push(0u32);
+        for bounds in node_offsets.windows(2) {
+            let bucket = &mut entries[bounds[0] as usize..bounds[1] as usize];
+            if let Some(&first) = bucket.first() {
+                let ad = arena.ads[first as usize];
+                if bucket.iter().all(|&rr| arena.ads[rr as usize] == ad) {
+                    run_ads.push(ad);
+                    run_offsets.push(bounds[0]);
+                } else {
+                    bucket_ads.clear();
+                    bucket_ads.extend(bucket.iter().map(|&rr| arena.ads[rr as usize]));
+                    present.clear();
+                    for &ad in &bucket_ads {
+                        let c = &mut counts[ad as usize];
+                        if *c == 0 {
+                            present.push(ad);
+                        }
+                        *c += 1;
+                    }
+                    present.sort_unstable();
+                    // Each run's count becomes its start within the bucket.
+                    let mut start = 0u32;
+                    for &ad in &present {
+                        run_ads.push(ad);
+                        run_offsets.push(bounds[0] + start);
+                        let c = &mut counts[ad as usize];
+                        (*c, start) = (start, start + *c);
+                    }
+                    sorted.clear();
+                    sorted.resize(bucket.len(), 0);
+                    for (&rr, &ad) in bucket.iter().zip(&bucket_ads) {
+                        let c = &mut counts[ad as usize];
+                        sorted[*c as usize] = rr;
+                        *c += 1;
+                    }
+                    bucket.copy_from_slice(&sorted);
+                    for &ad in &present {
+                        counts[ad as usize] = 0;
+                    }
+                }
+            }
+            // Runs never outnumber entries, which fit in u32.
+            node_runs.push(run_ads.len() as u32);
+        }
+        run_offsets.push(entries.len() as u32);
+        run_ads.shrink_to_fit();
+        run_offsets.shrink_to_fit();
+        CoverageSegment {
+            rr_base: from as u32,
+            num_sets: (to - from) as u32,
+            node_runs: node_runs.into(),
+            run_ads: run_ads.into(),
+            run_offsets: run_offsets.into(),
+            entries: entries.into(),
+        }
+    }
+
+    pub(crate) fn columns(&self) -> [&Column<u32>; 4] {
+        [
+            &self.node_runs,
+            &self.run_ads,
+            &self.run_offsets,
+            &self.entries,
+        ]
     }
 
     fn resident_bytes(&self) -> usize {
-        self.offsets.resident_bytes() + self.entries.resident_bytes()
+        self.columns().iter().map(|c| c.resident_bytes()).sum()
     }
 
     fn mapped_bytes(&self) -> usize {
-        self.offsets.mapped_bytes() + self.entries.mapped_bytes()
+        self.columns().iter().map(|c| c.mapped_bytes()).sum()
     }
 }
 
-/// Incrementally extendable inverted `node → RR-set` index over an
-/// [`RrArena`], plus the per-`(advertiser, node)` singleton coverage
-/// counts, both maintained once per arena extension — never per
+/// Incrementally extendable inverted `(node, advertiser) → RR-set` index
+/// over an [`RrArena`], maintained once per arena extension — never per
 /// estimator and never rebuilt.
 ///
 /// Mutation is append-only: [`CoverageIndex::extend_to`] adds one
-/// immutable [`CoverageSegment`] for the new sets and bumps the shared
-/// advertiser/singleton columns (copy-on-write when an older
-/// [`CoverageView`] still holds them, in place otherwise).
+/// immutable [`CoverageSegment`] for the new sets.
 #[derive(Clone, Debug)]
 pub struct CoverageIndex {
     pub(crate) num_nodes: usize,
     pub(crate) num_ads: usize,
     pub(crate) num_rr: usize,
     pub(crate) segments: Vec<Arc<CoverageSegment>>,
-    /// Advertiser of each indexed RR-set (u32 column for cache density).
-    pub(crate) ads: Arc<Column<u32>>,
-    /// `singleton[ad * num_nodes + u]` = #indexed RR-sets of `ad`
-    /// containing `u`.
-    pub(crate) singleton: Arc<Column<u32>>,
 }
 
 impl CoverageIndex {
@@ -632,8 +766,6 @@ impl CoverageIndex {
             num_ads,
             num_rr: 0,
             segments: Vec::new(),
-            ads: Arc::new(Column::new()),
-            singleton: Arc::new(vec![0u32; num_ads * num_nodes].into()),
         }
     }
 
@@ -647,7 +779,7 @@ impl CoverageIndex {
         self.num_nodes
     }
 
-    /// Number of advertisers the singleton counts are tracked for.
+    /// Number of advertisers the postings are partitioned by.
     pub fn num_ads(&self) -> usize {
         self.num_ads
     }
@@ -690,42 +822,8 @@ impl CoverageIndex {
              (split the request into smaller extensions)"
         );
 
-        // Pass 1 (fused): per-node entry counts for the counting sort,
-        // plus the advertiser column and singleton-count bumps — one walk
-        // over the new sets instead of three. `to_mut` promotes columns
-        // still borrowed from a snapshot mapping to owned before writing.
-        let ads = Arc::make_mut(&mut self.ads).to_mut();
-        ads.reserve(to - from);
-        let singleton = Arc::make_mut(&mut self.singleton).to_mut();
-        let mut offsets = vec![0u32; self.num_nodes + 1];
-        for i in from..to {
-            let ad = arena.ad_of(i);
-            debug_assert!(ad < self.num_ads, "advertiser id out of range");
-            ads.push(ad as u32);
-            for &u in arena.nodes_of(i) {
-                offsets[u as usize + 1] += 1;
-                singleton[ad * self.num_nodes + u as usize] += 1;
-            }
-        }
-        for u in 0..self.num_nodes {
-            offsets[u + 1] += offsets[u];
-        }
-        // Pass 2: fill the CSR entries.
-        let mut entries = vec![0u32; segment_entries];
-        let mut cursor = offsets.clone();
-        for i in from..to {
-            for &u in arena.nodes_of(i) {
-                let c = &mut cursor[u as usize];
-                entries[*c as usize] = i as u32;
-                *c += 1;
-            }
-        }
-        self.segments.push(Arc::new(CoverageSegment {
-            rr_base: from as u32,
-            num_sets: (to - from) as u32,
-            offsets: offsets.into(),
-            entries: entries.into(),
-        }));
+        let segment = CoverageSegment::build(arena, from, to, self.num_ads);
+        self.segments.push(Arc::new(segment));
         self.num_rr = to;
         to - from
     }
@@ -751,8 +849,6 @@ impl CoverageIndex {
             num_ads: self.num_ads,
             num_rr: self.num_rr,
             segments: self.segments.clone(),
-            ads: Arc::clone(&self.ads),
-            singleton: Arc::clone(&self.singleton),
         }
     }
 
@@ -764,35 +860,23 @@ impl CoverageIndex {
 
     /// Owned heap bytes of the index storage.
     pub fn resident_bytes(&self) -> usize {
-        index_resident_bytes(&self.segments, &self.ads, &self.singleton)
+        index_resident_bytes(&self.segments)
     }
 
     /// Bytes borrowed zero-copy from a snapshot mapping.
     pub fn mapped_bytes(&self) -> usize {
-        index_mapped_bytes(&self.segments, &self.ads, &self.singleton)
+        index_mapped_bytes(&self.segments)
     }
 }
 
 /// Shared owned-heap formula for [`CoverageIndex`] and its views.
-fn index_resident_bytes(
-    segments: &[Arc<CoverageSegment>],
-    ads: &Arc<Column<u32>>,
-    singleton: &Arc<Column<u32>>,
-) -> usize {
-    segments.iter().map(|s| s.resident_bytes()).sum::<usize>()
-        + ads.resident_bytes()
-        + singleton.resident_bytes()
+fn index_resident_bytes(segments: &[Arc<CoverageSegment>]) -> usize {
+    segments.iter().map(|s| s.resident_bytes()).sum()
 }
 
 /// Shared mapped-bytes formula for [`CoverageIndex`] and its views.
-fn index_mapped_bytes(
-    segments: &[Arc<CoverageSegment>],
-    ads: &Arc<Column<u32>>,
-    singleton: &Arc<Column<u32>>,
-) -> usize {
-    segments.iter().map(|s| s.mapped_bytes()).sum::<usize>()
-        + ads.mapped_bytes()
-        + singleton.mapped_bytes()
+fn index_mapped_bytes(segments: &[Arc<CoverageSegment>]) -> usize {
+    segments.iter().map(|s| s.mapped_bytes()).sum()
 }
 
 /// Immutable snapshot of a [`CoverageIndex`]: the coverage-query surface
@@ -805,8 +889,6 @@ pub struct CoverageView {
     num_ads: usize,
     num_rr: usize,
     segments: Vec<Arc<CoverageSegment>>,
-    ads: Arc<Column<u32>>,
-    singleton: Arc<Column<u32>>,
 }
 
 impl CoverageView {
@@ -830,26 +912,20 @@ impl CoverageView {
         &self.segments
     }
 
-    /// Advertiser column: `ads()[rr]` is the advertiser of RR-set `rr`.
-    pub fn ads(&self) -> &[u32] {
-        &self.ads
-    }
-
-    /// Advertiser that RR-set `rr` was generated for.
-    pub fn ad_of(&self, rr: u32) -> AdId {
-        self.ads[rr as usize] as AdId
-    }
-
-    /// Number of RR-sets of `ad` containing `u` (maintained incrementally
-    /// per index extension, not recomputed per estimator).
+    /// Number of RR-sets of `ad` containing `u`: the summed lengths of
+    /// its run in every segment, O(#segments).
     pub fn singleton_count(&self, ad: AdId, u: NodeId) -> u32 {
-        self.singleton[ad * self.num_nodes + u as usize]
+        self.segments
+            .iter()
+            .map(|s| s.rr_of_containing(ad, u).len() as u32)
+            .sum()
     }
 
-    /// Visit every RR-set id containing `node`, across all segments.
-    pub fn for_each_rr_containing(&self, node: NodeId, mut f: impl FnMut(u32)) {
+    /// Visit, in ascending order, the id of every RR-set generated for
+    /// `ad` that contains `node`: one contiguous run per segment.
+    pub fn for_each_rr_of_containing(&self, ad: AdId, node: NodeId, mut f: impl FnMut(u32)) {
         for segment in &self.segments {
-            for &rr in segment.rr_containing(node) {
+            for &rr in segment.rr_of_containing(ad, node) {
                 f(rr);
             }
         }
@@ -858,12 +934,11 @@ impl CoverageView {
     /// Number of RR-sets generated for `ad` that intersect `seeds`
     /// (from-scratch query; incremental callers keep a [`CoverBitset`]).
     pub fn coverage_count(&self, ad: AdId, seeds: &[NodeId]) -> usize {
-        let ad = ad as u32;
         let mut covered = CoverBitset::new(self.num_rr);
         let mut count = 0usize;
         for &u in seeds {
-            self.for_each_rr_containing(u, |rr| {
-                if self.ads[rr as usize] == ad && covered.set(rr) {
+            self.for_each_rr_of_containing(ad, u, |rr| {
+                if covered.set(rr) {
                     count += 1;
                 }
             });
@@ -874,13 +949,14 @@ impl CoverageView {
     /// Number of RR-sets covered by a full allocation `S⃗` (each RR-set is
     /// covered iff the seed set of *its own* advertiser intersects it).
     pub fn allocation_coverage_count(&self, allocation: &[Vec<NodeId>]) -> usize {
+        // Runs of different advertisers hold disjoint ids, so one bitset
+        // serves every advertiser.
         let mut covered = CoverBitset::new(self.num_rr);
         let mut count = 0usize;
         for (ad, seeds) in allocation.iter().enumerate() {
-            let ad = ad as u32;
             for &u in seeds {
-                self.for_each_rr_containing(u, |rr| {
-                    if self.ads[rr as usize] == ad && covered.set(rr) {
+                self.for_each_rr_of_containing(ad, u, |rr| {
+                    if covered.set(rr) {
                         count += 1;
                     }
                 });
@@ -897,13 +973,13 @@ impl CoverageView {
 
     /// Heap-owned portion of [`Self::memory_bytes`].
     pub fn resident_bytes(&self) -> usize {
-        index_resident_bytes(&self.segments, &self.ads, &self.singleton)
+        index_resident_bytes(&self.segments)
     }
 
     /// Snapshot-mapped portion of [`Self::memory_bytes`] (pages borrowed
     /// from a mapped `.rmsnap` file rather than allocated).
     pub fn mapped_bytes(&self) -> usize {
-        index_mapped_bytes(&self.segments, &self.ads, &self.singleton)
+        index_mapped_bytes(&self.segments)
     }
 }
 
@@ -1223,8 +1299,8 @@ mod tests {
         let early = index.view();
         let early_count = early.coverage_count(0, &[0]);
         assert_eq!(early_count, 400);
-        // Extending while `early` is alive must copy-on-write the shared
-        // columns instead of corrupting the snapshot.
+        // Extending while `early` is alive must leave the snapshot as it
+        // was.
         arena.generate(&g, &m, &sampler, 600, &mut rng());
         index.extend_from(&arena);
         assert_eq!(early.coverage_count(0, &[0]), early_count);
@@ -1285,6 +1361,110 @@ mod tests {
         let view = index.view();
         assert_eq!(view.num_rr(), 0);
         assert_eq!(view.coverage_count(0, &[1, 2]), 0);
+    }
+
+    /// Every `(ad, node)` query yields, ascending, exactly the ids of the
+    /// node's sets generated for `ad`; singleton counts are the summed run
+    /// lengths; an advertiser id past the last covers nothing.
+    fn assert_runs_match_arena(arena: &RrArena, view: &CoverageView, what: &str) {
+        let (n, h) = (arena.num_nodes(), view.num_ads());
+        let mut expected = vec![Vec::new(); n * h];
+        for i in 0..view.num_rr() {
+            for &u in arena.nodes_of(i) {
+                expected[u as usize * h + arena.ad_of(i)].push(i as u32);
+            }
+        }
+        for u in 0..n {
+            for ad in 0..h {
+                let mut got = Vec::new();
+                view.for_each_rr_of_containing(ad, u as NodeId, |rr| got.push(rr));
+                assert_eq!(got, expected[u * h + ad], "{what}: ad {ad}, node {u}");
+                assert_eq!(
+                    view.singleton_count(ad, u as NodeId) as usize,
+                    got.len(),
+                    "{what}: singleton count of ad {ad}, node {u}"
+                );
+            }
+            assert_eq!(view.coverage_count(h, &[u as NodeId]), 0, "{what}: ad {h}");
+        }
+    }
+
+    /// Index, write and read back through both snapshot paths (owned
+    /// decode and zero-copy mapping), checking the runs at every step.
+    fn assert_roundtrips_keep_runs(arena: &RrArena, index: &CoverageIndex, what: &str) {
+        use rmsa_store::{
+            section, MappedSnapshot, SectionSource, SnapshotReader, SnapshotWriter, VerifyMode,
+        };
+        assert_runs_match_arena(arena, &index.view(), what);
+        let mut w = SnapshotWriter::new();
+        crate::snapshot::write_arena(arena, w.section(section::CACHE_STREAM_BASE));
+        crate::snapshot::write_index(index, w.section(section::CACHE_STREAM_BASE + 1));
+        let bytes = w.finish();
+
+        let r = SnapshotReader::parse(&bytes).unwrap();
+        let arena_o =
+            crate::snapshot::read_arena(&mut r.require(section::CACHE_STREAM_BASE).unwrap())
+                .unwrap();
+        let index_o = crate::snapshot::read_index(
+            &mut r.require(section::CACHE_STREAM_BASE + 1).unwrap(),
+            &arena_o,
+        )
+        .unwrap();
+        assert_runs_match_arena(&arena_o, &index_o.view(), &format!("{what}, owned"));
+
+        let path = std::env::temp_dir().join(format!(
+            "rmsa_partition_{}_{}.rmsnap",
+            std::process::id(),
+            what.replace([' ', ',', '='], "_")
+        ));
+        rmsa_store::write_file(&path, &bytes).unwrap();
+        let snap = MappedSnapshot::open(&path, VerifyMode::Lazy).unwrap();
+        let arena_m =
+            crate::snapshot::read_arena(&mut snap.require(section::CACHE_STREAM_BASE).unwrap())
+                .unwrap();
+        let index_m = crate::snapshot::read_index(
+            &mut snap.require(section::CACHE_STREAM_BASE + 1).unwrap(),
+            &arena_m,
+        )
+        .unwrap();
+        assert_runs_match_arena(&arena_m, &index_m.view(), &format!("{what}, mapped"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Partitioning postings by advertiser changes no answer: for h in
+    /// {1, 3, 10}, indexes built by several `extend_to` calls and by
+    /// `extend_by_spans` at several shard counts return exactly each
+    /// node's per-advertiser RR-sets, before and after a snapshot round
+    /// trip.
+    #[test]
+    fn ad_partitioned_runs_hold_exactly_each_ads_sets() {
+        let mut graph_rng = rng();
+        let g = barabasi_albert(120, 3, &mut graph_rng);
+        for h in [1usize, 3, 10] {
+            let m = UniformIc::new(h, 0.15);
+            let cpes: Vec<f64> = (0..h).map(|i| 1.0 + 0.5 * i as f64).collect();
+            let sampler = UniformRrSampler::new(&cpes);
+            let count = 2 * GENERATION_CHUNK + 301;
+            let seed = 1_000 + h as u64;
+
+            let mut arena = RrArena::new(g.num_nodes(), RrStrategy::Standard);
+            arena.generate_parallel(&g, &m, &sampler, count, 2, seed);
+            let mut index = CoverageIndex::new(g.num_nodes(), h);
+            for upto in [1usize, 700, 701, 1_900, count] {
+                index.extend_to(&arena, upto);
+            }
+            assert_eq!(index.num_segments(), 5);
+            assert_roundtrips_keep_runs(&arena, &index, &format!("h={h} extend_to"));
+
+            for shards in [1usize, 2, 3, 7] {
+                let mut arena = RrArena::new(g.num_nodes(), RrStrategy::Standard);
+                let spans = arena.generate_sharded(&g, &m, &sampler, count, shards, 2, seed);
+                let mut index = CoverageIndex::new(g.num_nodes(), h);
+                assert_eq!(index.extend_by_spans(&arena, &spans), count);
+                assert_eq!(index.num_segments(), spans.len());
+                assert_roundtrips_keep_runs(&arena, &index, &format!("h={h} shards={shards}"));
+            }
+        }
     }
 
     #[test]

@@ -90,9 +90,18 @@ pub fn read_arena(cur: &mut Cursor<'_>) -> Result<RrArena, StoreError> {
     })
 }
 
-/// Write a coverage index: segment CSR blocks plus the shared
-/// advertiser/singleton columns.
+/// Marks a tagged coverage-index encoding. Untagged encodings (written
+/// before the `(node, advertiser)` layout) begin with the node count,
+/// which never exceeds the u32 id space, so a first word with this bit set
+/// can only be a tag.
+const INDEX_TAGGED: u64 = 1 << 63;
+/// Layout tag: postings grouped by `(node, advertiser)` in non-empty runs.
+const LAYOUT_NODE_AD: u64 = 1;
+
+/// Write a coverage index: the layout tag, then every segment's four
+/// columns (node run ranges, run advertisers, run offsets, entries).
 pub fn write_index(index: &CoverageIndex, out: &mut SectionBuf) {
+    out.put_u64(INDEX_TAGGED | LAYOUT_NODE_AD);
     out.put_u64(index.num_nodes as u64);
     out.put_u64(index.num_ads as u64);
     out.put_u64(index.num_rr as u64);
@@ -100,18 +109,34 @@ pub fn write_index(index: &CoverageIndex, out: &mut SectionBuf) {
     for segment in &index.segments {
         out.put_u32(segment.rr_base);
         out.put_u32(segment.num_sets);
-        out.put_u32_slice(&segment.offsets);
+        out.put_u32_slice(&segment.node_runs);
+        out.put_u32_slice(&segment.run_ads);
+        out.put_u32_slice(&segment.run_offsets);
         out.put_u32_slice(&segment.entries);
     }
-    out.put_u32_slice(&index.ads);
-    out.put_u32_slice(&index.singleton);
 }
 
 /// Read a coverage index back, validating segment structure against the
 /// arena it indexes.
+///
+/// The current `(node, advertiser)` layout comes back as written: borrowed
+/// zero-copy from a mapping, or owned and checked entry by entry (ids in
+/// range and ascending within a run, each id's arena advertiser equal to
+/// its run's). The untagged node-major layout is checked the same way and
+/// re-bucketed into owned `(node, advertiser)` segments built from the
+/// arena's sets, which must hold exactly the stored postings; its stored
+/// advertiser column must agree with the arena's, and its stored
+/// singleton counts are skipped.
 pub fn read_index(cur: &mut Cursor<'_>, arena: &RrArena) -> Result<CoverageIndex, StoreError> {
-    let corrupt = |why: String| StoreError::Corrupt(format!("coverage-index section: {why}"));
-    let num_nodes = cur.get_usize("index num_nodes")?;
+    let first = cur.get_u64("index layout tag")?;
+    let (node_major, num_nodes) = if first & INDEX_TAGGED == 0 {
+        (true, rmsa_store::to_usize(first, "index num_nodes")?)
+    } else {
+        match first & !INDEX_TAGGED {
+            LAYOUT_NODE_AD => (false, cur.get_usize("index num_nodes")?),
+            tag => return Err(corrupt(format!("unknown layout tag {tag}"))),
+        }
+    };
     let num_ads = cur.get_usize("index num_ads")?;
     let num_rr = cur.get_usize("index num_rr")?;
     let num_segments = cur.get_usize("index num_segments")?;
@@ -139,66 +164,219 @@ pub fn read_index(cur: &mut Cursor<'_>, arena: &RrArena) -> Result<CoverageIndex
     for i in 0..num_segments {
         let rr_base = cur.get_u32("segment rr_base")?;
         let num_sets = cur.get_u32("segment num_sets")?;
-        let offsets = cur.get_u32_col("segment offsets")?;
-        let entries = cur.get_u32_col("segment entries")?;
         if rr_base != expected_base {
             return Err(corrupt(format!(
                 "segment {i} starts at RR {rr_base}, expected {expected_base}"
             )));
         }
-        if offsets.len() != num_nodes + 1
-            || offsets.first() != Some(&0)
-            || offsets.last().map(|&v| u64::from(v)) != Some(entries.len() as u64)
-        {
-            return Err(corrupt(format!("segment {i} has an inconsistent CSR")));
-        }
         let end = rr_base as u64 + num_sets as u64;
-        // Per-element CSR validation only for owned decodes (see
-        // `read_arena`): mapped segments stay O(1) per segment.
-        if !(offsets.is_mapped() && entries.is_mapped()) {
-            if offsets.windows(2).any(|w| w[0] > w[1]) {
-                return Err(corrupt(format!("segment {i} has an inconsistent CSR")));
-            }
-            if entries
-                .iter()
-                .any(|&rr| (rr as u64) < rr_base as u64 || rr as u64 >= end)
-            {
-                return Err(corrupt(format!("segment {i} has an RR id out of range")));
-            }
+        if end > num_rr as u64 {
+            return Err(corrupt(format!(
+                "segment {i} extends past {num_rr} RR-sets"
+            )));
         }
-        expected_base = u32::try_from(end)
+        let next_base = u32::try_from(end)
             .map_err(|_| corrupt(format!("segment {i} extends past the u32 RR id space")))?;
-        segments.push(Arc::new(CoverageSegment {
+        let shape = SegmentShape {
+            index: i,
             rr_base,
             num_sets,
-            offsets,
-            entries,
-        }));
+            num_nodes,
+            num_ads,
+        };
+        let segment = if node_major {
+            read_node_major_segment(cur, &shape, arena)?
+        } else {
+            read_node_ad_segment(cur, &shape, arena)?
+        };
+        expected_base = next_base;
+        segments.push(Arc::new(segment));
     }
     if u64::from(expected_base) != num_rr as u64 {
         return Err(corrupt(format!(
             "segments cover {expected_base} RR-sets, header says {num_rr}"
         )));
     }
-    let ads = cur.get_u32_col("index ads")?;
-    let singleton = cur.get_u32_col("index singleton")?;
-    if ads.len() != num_rr {
-        return Err(corrupt("advertiser column length mismatch".to_string()));
-    }
-    if singleton.len() != num_ads * num_nodes {
-        return Err(corrupt("singleton column length mismatch".to_string()));
-    }
-    if !ads.is_mapped() && ads.iter().any(|&a| u64::from(a) >= num_ads as u64) {
-        return Err(corrupt("an advertiser id is out of range".to_string()));
+    if node_major {
+        let ads = cur.get_u32_col("index ads")?;
+        if ads.len() != num_rr || ads[..] != arena.ads[..num_rr] {
+            return Err(corrupt(
+                "advertiser column disagrees with the arena".to_string(),
+            ));
+        }
+        // The runs give every singleton count; the stored copy is skipped.
+        cur.get_u32_col("index singleton")?;
     }
     Ok(CoverageIndex {
         num_nodes,
         num_ads,
         num_rr,
         segments,
-        ads: Arc::new(ads),
-        singleton: Arc::new(singleton),
     })
+}
+
+fn corrupt(why: String) -> StoreError {
+    StoreError::Corrupt(format!("coverage-index section: {why}"))
+}
+
+/// Header fields of the segment being decoded.
+struct SegmentShape {
+    index: usize,
+    rr_base: u32,
+    num_sets: u32,
+    num_nodes: usize,
+    num_ads: usize,
+}
+
+impl SegmentShape {
+    /// Check that a run holds strictly ascending ids of this segment's
+    /// sets, generated for an advertiser below `num_ads` that equals
+    /// `run_ad` when the run has one.
+    fn check_run(
+        &self,
+        run: &[u32],
+        run_ad: Option<u32>,
+        arena: &RrArena,
+    ) -> Result<(), StoreError> {
+        let i = self.index;
+        let ids = u64::from(self.rr_base)..u64::from(self.rr_base) + u64::from(self.num_sets);
+        for &rr in run {
+            if !ids.contains(&u64::from(rr)) {
+                return Err(corrupt(format!("segment {i} has an RR id out of range")));
+            }
+            let ad = arena.ads[position(rr)?];
+            if run_ad.is_some_and(|run_ad| run_ad != ad) {
+                return Err(corrupt(format!(
+                    "segment {i} files an RR-set under another advertiser's run"
+                )));
+            }
+            if u64::from(ad) >= self.num_ads as u64 {
+                return Err(corrupt(format!(
+                    "segment {i}: RR-set {rr} has advertiser {ad} out of range"
+                )));
+            }
+        }
+        if run.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(corrupt(format!("segment {i} has an unsorted run")));
+        }
+        Ok(())
+    }
+}
+
+/// Read one `(node, advertiser)` segment: borrowed as is from a mapping
+/// (O(1) checks), or owned and checked entry by entry.
+fn read_node_ad_segment(
+    cur: &mut Cursor<'_>,
+    shape: &SegmentShape,
+    arena: &RrArena,
+) -> Result<CoverageSegment, StoreError> {
+    let i = shape.index;
+    let node_runs = cur.get_u32_col("segment node runs")?;
+    let run_ads = cur.get_u32_col("segment run advertisers")?;
+    let run_offsets = cur.get_u32_col("segment run offsets")?;
+    let entries = cur.get_u32_col("segment entries")?;
+    if !spans(&node_runs, shape.num_nodes, run_ads.len())
+        || !spans(&run_offsets, run_ads.len(), entries.len())
+    {
+        return Err(corrupt(format!("segment {i} has an inconsistent CSR")));
+    }
+    // Per-element validation only for owned decodes (see `read_arena`):
+    // mapped segments stay O(1) per segment.
+    let mapped = node_runs.is_mapped()
+        && run_ads.is_mapped()
+        && run_offsets.is_mapped()
+        && entries.is_mapped();
+    if !mapped {
+        if node_runs.windows(2).any(|w| w[0] > w[1]) || run_offsets.windows(2).any(|w| w[0] >= w[1])
+        {
+            return Err(corrupt(format!(
+                "segment {i} has an empty run or a non-monotone run table"
+            )));
+        }
+        for bounds in node_runs.windows(2) {
+            let ads = &run_ads[position(bounds[0])?..position(bounds[1])?];
+            if ads.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(corrupt(format!(
+                    "segment {i} has a node whose runs are not in advertiser order"
+                )));
+            }
+        }
+        for (bounds, &ad) in run_offsets.windows(2).zip(run_ads.iter()) {
+            let run = &entries[position(bounds[0])?..position(bounds[1])?];
+            shape.check_run(run, Some(ad), arena)?;
+        }
+    }
+    Ok(CoverageSegment {
+        rr_base: shape.rr_base,
+        num_sets: shape.num_sets,
+        node_runs,
+        run_ads,
+        run_offsets,
+        entries,
+    })
+}
+
+/// Read one node-major segment (one ascending run per node, every
+/// advertiser mixed), check it entry by entry, and re-bucket it: the
+/// arena's sets over the same id range are indexed afresh, and the stored
+/// postings must be exactly the fresh segment's.
+fn read_node_major_segment(
+    cur: &mut Cursor<'_>,
+    shape: &SegmentShape,
+    arena: &RrArena,
+) -> Result<CoverageSegment, StoreError> {
+    let i = shape.index;
+    let offsets = cur.get_u32_col("segment offsets")?;
+    let entries = cur.get_u32_col("segment entries")?;
+    if !spans(&offsets, shape.num_nodes, entries.len()) {
+        return Err(corrupt(format!("segment {i} has an inconsistent CSR")));
+    }
+    if offsets.windows(2).any(|w| w[0] > w[1]) {
+        return Err(corrupt(format!("segment {i} has a non-monotone run table")));
+    }
+    for bounds in offsets.windows(2) {
+        let run = &entries[position(bounds[0])?..position(bounds[1])?];
+        shape.check_run(run, None, arena)?;
+    }
+    let from = position(shape.rr_base)?;
+    let to = from + position(shape.num_sets)?;
+    let disagree = || corrupt(format!("segment {i} disagrees with the arena's sets"));
+    if arena.nodes_of_range(from, to).len() != entries.len() {
+        return Err(disagree());
+    }
+    if arena.ads[from..to]
+        .iter()
+        .any(|&ad| u64::from(ad) >= shape.num_ads as u64)
+    {
+        return Err(corrupt(format!(
+            "segment {i} covers an RR-set whose advertiser is out of range"
+        )));
+    }
+    let segment = CoverageSegment::build(arena, from, to, shape.num_ads);
+    // Every stored posting is in the fresh segment, and both hold the
+    // same number: they are the same postings.
+    for (u, bounds) in offsets.windows(2).enumerate() {
+        let u = rmsa_store::to_u32(u, "node id")?;
+        for &rr in &entries[position(bounds[0])?..position(bounds[1])?] {
+            let ad = arena.ad_of(position(rr)?);
+            if segment.rr_of_containing(ad, u).binary_search(&rr).is_err() {
+                return Err(disagree());
+            }
+        }
+    }
+    Ok(segment)
+}
+
+/// Whether `offsets` has `len + 1` entries running from 0 to `total`.
+fn spans(offsets: &[u32], len: usize, total: usize) -> bool {
+    offsets.len() == len + 1
+        && offsets.first() == Some(&0)
+        && offsets.last().map(|&v| u64::from(v)) == Some(total as u64)
+}
+
+/// Checked `u32` → `usize` for run offsets and RR ids.
+fn position(v: u32) -> Result<usize, StoreError> {
+    rmsa_store::to_usize(u64::from(v), "coverage-index position")
 }
 
 /// The model variants the snapshot format can persist. [`crate::TicModel`]
@@ -625,6 +803,266 @@ mod tests {
         }
     }
 
+    /// The node-major index encoding written before the `(node,
+    /// advertiser)` layout: untagged header, one ascending run per node
+    /// mixing every advertiser, then a per-set advertiser column. `tamper`
+    /// may edit each segment's offsets and entries before they are written.
+    fn write_index_node_major(
+        index: &CoverageIndex,
+        arena: &RrArena,
+        tamper: &dyn Fn(&mut Vec<u32>, &mut Vec<u32>),
+        out: &mut SectionBuf,
+    ) {
+        out.put_u64(index.num_nodes as u64);
+        out.put_u64(index.num_ads as u64);
+        out.put_u64(index.num_rr as u64);
+        out.put_u64(index.segments.len() as u64);
+        let h = index.num_ads;
+        for segment in &index.segments {
+            let mut offsets = vec![0u32];
+            let mut entries = Vec::new();
+            for u in 0..index.num_nodes {
+                let from = entries.len();
+                for ad in 0..h {
+                    entries.extend_from_slice(segment.rr_of_containing(ad, u as u32));
+                }
+                entries[from..].sort_unstable();
+                offsets.push(entries.len() as u32);
+            }
+            tamper(&mut offsets, &mut entries);
+            out.put_u32(segment.rr_base);
+            out.put_u32(segment.num_sets);
+            out.put_u32_slice(&offsets);
+            out.put_u32_slice(&entries);
+        }
+        out.put_u32_slice(&arena.ads[..index.num_rr]);
+        let view = index.view();
+        let singleton: Vec<u32> = (0..h)
+            .flat_map(|ad| (0..index.num_nodes as u32).map(move |u| (ad, u)))
+            .map(|(ad, u)| view.singleton_count(ad, u))
+            .collect();
+        out.put_u32_slice(&singleton);
+    }
+
+    /// A three-advertiser arena indexed in two extensions.
+    fn three_ad_stream() -> (RrArena, CoverageIndex) {
+        let mut rng = <rand_pcg::Pcg64Mcg as rand::SeedableRng>::seed_from_u64(19);
+        let g = barabasi_albert(150, 3, &mut rng);
+        let m = crate::models::WeightedCascade::new(&g, 3);
+        let sampler = UniformRrSampler::new(&[1.0, 2.0, 1.5]);
+        let mut arena = RrArena::new(g.num_nodes(), RrStrategy::Standard);
+        let mut index = CoverageIndex::new(g.num_nodes(), 3);
+        arena.generate_parallel(&g, &m, &sampler, 900, 2, 5);
+        index.extend_from(&arena);
+        arena.generate_parallel(&g, &m, &sampler, 700, 2, 6);
+        index.extend_from(&arena);
+        (arena, index)
+    }
+
+    fn stream_bytes(arena: &RrArena, write: impl FnOnce(&mut SectionBuf)) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        write_arena(arena, w.section(section::CACHE_STREAM_BASE));
+        write(w.section(section::CACHE_STREAM_BASE + 1));
+        w.finish()
+    }
+
+    fn read_stream<S: rmsa_store::SectionSource>(
+        src: &S,
+    ) -> Result<(RrArena, CoverageIndex), StoreError> {
+        let arena = read_arena(&mut src.require(section::CACHE_STREAM_BASE)?)?;
+        let index = read_index(&mut src.require(section::CACHE_STREAM_BASE + 1)?, &arena)?;
+        Ok((arena, index))
+    }
+
+    fn assert_same_answers(a: &CoverageIndex, b: &CoverageIndex) {
+        let (va, vb) = (a.view(), b.view());
+        assert_eq!(va.num_rr(), vb.num_rr());
+        for ad in 0..va.num_ads() {
+            for u in 0..va.num_nodes() as u32 {
+                assert_eq!(va.singleton_count(ad, u), vb.singleton_count(ad, u));
+                assert_eq!(va.coverage_count(ad, &[u]), vb.coverage_count(ad, &[u]));
+            }
+            let seeds: Vec<u32> = (0..40).step_by(3).collect();
+            assert_eq!(va.coverage_count(ad, &seeds), vb.coverage_count(ad, &seeds));
+        }
+        let alloc = vec![vec![0, 7], vec![1, 2, 30], vec![5]];
+        assert_eq!(
+            va.allocation_coverage_count(&alloc),
+            vb.allocation_coverage_count(&alloc)
+        );
+    }
+
+    /// Streams in the node-major layout still load — owned, re-bucketed
+    /// into the current layout through both the parsed and the mapped
+    /// container — and answer every coverage query as the original.
+    #[test]
+    fn node_major_streams_load_owned_and_answer_identically() {
+        use rmsa_store::{MappedSnapshot, VerifyMode};
+        let (arena, index) = three_ad_stream();
+        let old = stream_bytes(&arena, |s| {
+            write_index_node_major(&index, &arena, &|_, _| {}, s)
+        });
+        let current = stream_bytes(&arena, |s| write_index(&index, s));
+        assert_ne!(old, current);
+
+        let path =
+            std::env::temp_dir().join(format!("rmsa_node_major_{}.rmsnap", std::process::id()));
+        rmsa_store::write_file(&path, &old).unwrap();
+        let snap = MappedSnapshot::open(&path, VerifyMode::Lazy).unwrap();
+        let parsed = SnapshotReader::parse(&old).unwrap();
+        for (arena2, index2) in [read_stream(&parsed).unwrap(), read_stream(&snap).unwrap()] {
+            assert_eq!(index2.num_segments(), 2);
+            assert_eq!(index2.mapped_bytes(), 0);
+            assert_same_answers(&index, &index2);
+            // Re-bucketing reproduces the current encoding byte for byte.
+            assert_eq!(stream_bytes(&arena2, |s| write_index(&index2, s)), current);
+        }
+        std::fs::remove_file(&path).ok();
+
+        // The stored advertiser column must agree with the arena's.
+        let mut lying = arena.clone();
+        lying.ads.to_mut()[3] = (lying.ads[3] + 1) % 3;
+        let bytes = stream_bytes(&arena, |s| {
+            write_index_node_major(&index, &lying, &|_, _| {}, s)
+        });
+        let err = read_stream(&SnapshotReader::parse(&bytes).unwrap()).map(|_| ());
+        assert!(matches!(err, Err(StoreError::Corrupt(_))), "{err:?}");
+
+        // So must the postings: a node's first id swapped for the id just
+        // below it (still ascending and in range, but not a set holding
+        // that node) is refused.
+        let bytes = stream_bytes(&arena, |s| {
+            let shift_first_id = |offsets: &mut Vec<u32>, entries: &mut Vec<u32>| {
+                let at = offsets[..offsets.len() - 1]
+                    .iter()
+                    .map(|&o| o as usize)
+                    .find(|&o| o < entries.len() && entries[o] > entries[0])
+                    .unwrap();
+                entries[at] -= 1;
+            };
+            write_index_node_major(&index, &arena, &shift_first_id, s)
+        });
+        let err = read_stream(&SnapshotReader::parse(&bytes).unwrap()).map(|_| ());
+        assert!(
+            matches!(&err, Err(StoreError::Corrupt(m)) if m.contains("disagrees with the arena")),
+            "{err:?}"
+        );
+    }
+
+    /// Streams in the current layout load zero-copy from a mapping: every
+    /// segment column is borrowed, none is owned.
+    #[test]
+    fn node_ad_streams_load_mapped_without_copying_runs() {
+        use rmsa_store::{MappedSnapshot, VerifyMode};
+        let (arena, index) = three_ad_stream();
+        let bytes = stream_bytes(&arena, |s| write_index(&index, s));
+        let path = std::env::temp_dir().join(format!("rmsa_node_ad_{}.rmsnap", std::process::id()));
+        rmsa_store::write_file(&path, &bytes).unwrap();
+        let snap = MappedSnapshot::open(&path, VerifyMode::Lazy).unwrap();
+        let (_, mapped) = read_stream(&snap).unwrap();
+        assert_same_answers(&index, &mapped);
+        if snap.zero_copy_eligible() {
+            assert!(mapped.mapped_bytes() > 0);
+            assert!(mapped
+                .segments
+                .iter()
+                .all(|s| s.columns().iter().all(|c| c.is_mapped())));
+            assert_eq!(mapped.resident_bytes(), 0);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Owned decodes refuse corrupt runs with typed errors.
+    #[test]
+    fn corrupt_runs_are_refused() {
+        let (arena, index) = three_ad_stream();
+        type Columns = [Vec<u32>; 4];
+        let decode_with = |mutate: &dyn Fn(&mut Columns)| {
+            let first = &index.segments[0];
+            let mut cols: Columns = first.columns().map(|c| c.to_vec());
+            mutate(&mut cols);
+            let [node_runs, run_ads, run_offsets, entries] = cols;
+            let mut bad = index.clone();
+            bad.segments[0] = Arc::new(CoverageSegment {
+                rr_base: first.rr_base,
+                num_sets: first.num_sets,
+                node_runs: node_runs.into(),
+                run_ads: run_ads.into(),
+                run_offsets: run_offsets.into(),
+                entries: entries.into(),
+            });
+            let bytes = stream_bytes(&arena, |s| write_index(&bad, s));
+            read_stream(&SnapshotReader::parse(&bytes).unwrap()).map(|_| ())
+        };
+        let expect_corrupt =
+            |what: &str, mutate: &dyn Fn(&mut Columns), needle: &str| match decode_with(mutate) {
+                Err(StoreError::Corrupt(msg)) => assert!(msg.contains(needle), "{what}: {msg}"),
+                other => panic!("{what}: expected a corrupt error, got {other:?}"),
+            };
+        // Sanity: the untouched stream decodes.
+        assert!(decode_with(&|_| {}).is_ok());
+        expect_corrupt(
+            "non-monotone run table",
+            &|[_, _, run_offsets, _]| {
+                let last = *run_offsets.last().unwrap();
+                run_offsets[1] = last + 1;
+            },
+            "non-monotone",
+        );
+        let end = index.segments[0].num_sets;
+        expect_corrupt(
+            "RR id out of range",
+            &|[_, _, _, entries]| entries[0] = end,
+            "out of range",
+        );
+        // A node's first two runs with their advertisers swapped.
+        let two_runs = index.segments[0]
+            .node_runs
+            .windows(2)
+            .find(|w| w[1] - w[0] >= 2)
+            .unwrap()[0] as usize;
+        expect_corrupt(
+            "runs out of advertiser order",
+            &|[_, run_ads, _, _]| run_ads.swap(two_runs, two_runs + 1),
+            "advertiser order",
+        );
+        // The first entry of a run replaced by a smaller id of another
+        // advertiser: the run stays ascending and in range, but that id's
+        // arena advertiser differs from the run's.
+        let first = &index.segments[0];
+        let (at, id) = first
+            .run_offsets
+            .windows(2)
+            .zip(first.run_ads.iter())
+            .find_map(|(bounds, &ad)| {
+                let (start, stop) = (bounds[0] as usize, bounds[1] as usize);
+                let upper = if stop - start > 1 {
+                    first.entries[start + 1]
+                } else {
+                    end
+                };
+                (0..upper)
+                    .find(|&rr| arena.ads[rr as usize] != ad)
+                    .map(|rr| (start, rr))
+            })
+            .unwrap();
+        expect_corrupt(
+            "entry under another advertiser's run",
+            &|[_, _, _, entries]| entries[at] = id,
+            "another advertiser",
+        );
+
+        // An unknown layout tag is refused, not guessed at.
+        let bytes = stream_bytes(&arena, |s| {
+            s.put_u64(INDEX_TAGGED | 99);
+        });
+        let err = read_stream(&SnapshotReader::parse(&bytes).unwrap()).map(|_| ());
+        assert!(
+            matches!(&err, Err(StoreError::Corrupt(m)) if m.contains("layout tag")),
+            "{err:?}"
+        );
+    }
+
     #[test]
     fn models_roundtrip_bit_for_bit() {
         let mut rng = <rand_pcg::Pcg64Mcg as rand::SeedableRng>::seed_from_u64(3);
@@ -687,6 +1125,31 @@ mod tests {
             matches!(err, StoreError::Truncated { .. } | StoreError::Corrupt(_)),
             "{err:?}"
         );
+
+        // The same in the tagged layout, and for an absurd advertiser
+        // count (nothing is sized by it).
+        for (num_ads, num_segments) in [(1u64, u64::MAX), (u64::MAX, 1)] {
+            let mut w = SnapshotWriter::new();
+            let s = w.section(section::CACHE_STREAM_BASE + 1);
+            s.put_u64(INDEX_TAGGED | LAYOUT_NODE_AD);
+            s.put_u64(arena.num_nodes() as u64);
+            s.put_u64(num_ads);
+            s.put_u64(8);
+            s.put_u64(num_segments);
+            s.put_u32_slice(&vec![0u32; arena.num_nodes()]);
+            let bytes = w.finish();
+            let r = SnapshotReader::parse(&bytes).unwrap();
+            let err = read_index(
+                &mut r.require(section::CACHE_STREAM_BASE + 1).unwrap(),
+                &arena,
+            )
+            .map(|_| ())
+            .unwrap_err();
+            assert!(
+                matches!(err, StoreError::Truncated { .. } | StoreError::Corrupt(_)),
+                "{num_ads} ads, {num_segments} segments: {err:?}"
+            );
+        }
 
         // Same for a materialized model declaring u64::MAX advertisers.
         let mut w = SnapshotWriter::new();

@@ -213,3 +213,108 @@ fn per_ad_costs_steer_different_ads_to_different_nodes() {
         "cost-sensitive selection should prefer each ad's cheap nodes"
     );
 }
+
+/// FNV-1a 64 over every advertiser's seeds in selection order, so a moved,
+/// swapped or reordered seed changes the digest.
+fn allocation_fnv(allocation: &Allocation) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |v: u64| {
+        for byte in v.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for seeds in &allocation.seed_sets {
+        mix(seeds.len() as u64);
+        for &u in seeds {
+            mix(u64::from(u));
+        }
+    }
+    hash
+}
+
+#[test]
+fn sampling_solvers_reproduce_pinned_allocations_and_revenue_bits() {
+    // Pinned outputs of the four RR-sampling solvers on one seeded
+    // lastfm-syn instance with three advertisers: (solver, allocation
+    // digest, revenue_estimate bits, revenue_lower_bound bits). A change
+    // to the coverage index, the estimator or the greedy kernels must
+    // leave every seed and every revenue bit where it was.
+    const PINNED: [(&str, u64, u64, Option<u64>); 4] = [
+        (
+            "RMA",
+            0x7c55_616a_940a_285e,
+            0x4070_07d0_624d_d2f2,       // 256.488375
+            Some(0x406e_7b9b_86fe_3b8f), // 243.8627352681619
+        ),
+        (
+            "OneBatch",
+            0x7c55_616a_940a_285e,
+            0x4072_3f61_8937_4bc7, // 291.9613125
+            None,
+        ),
+        (
+            "TI-CARM",
+            0xfd52_9167_1142_bf54,
+            0x4070_0289_374b_c6a8, // 256.1585
+            None,
+        ),
+        (
+            "TI-CSRM",
+            0x970d_df7a_f83c_7252,
+            0x4070_3b1c_ac08_3127, // 259.6945
+            None,
+        ),
+    ];
+    let dataset = Dataset::build(DatasetKind::LastfmSyn, 3, 0.25, 99);
+    let advertisers: Vec<Advertiser> = (0..3)
+        .map(|i| Advertiser::try_new(80.0 + 20.0 * i as f64, 1.0 + 0.1 * i as f64).unwrap())
+        .collect();
+    let instance = dataset.build_instance(advertisers, IncentiveModel::Linear, 0.1, 5_000, 1);
+    let wb = Workbench::builder()
+        .graph(dataset.graph.clone())
+        .model(dataset.model.clone())
+        .threads(2)
+        .seed(20_210_620)
+        .build()
+        .unwrap();
+    let cfg = RmaConfig {
+        epsilon: 0.1, // < λ(3, 0.1) ≈ 0.114
+        rho: 0.1,
+        max_rr_per_collection: 40_000,
+        ..RmaConfig::default()
+    };
+    let ti = TiConfig {
+        epsilon: 0.2,
+        max_rr_per_ad: 20_000,
+        ..TiConfig::default()
+    };
+    let solvers: [Box<dyn Solver>; 4] = [
+        Box::new(Rma::new(cfg.clone())),
+        Box::new(OneBatch::new(cfg, 10_000)),
+        Box::new(TiCarm::new(ti.clone())),
+        Box::new(TiCsrm::new(ti)),
+    ];
+    let observed: Vec<(String, u64, u64, Option<u64>)> = solvers
+        .iter()
+        .map(|solver| {
+            let report = wb.run_solver(solver.as_ref(), &instance).unwrap();
+            assert!(
+                report.allocation.total_seeds() > 0,
+                "{}: no seeds",
+                report.solver
+            );
+            (
+                report.solver.clone(),
+                allocation_fnv(&report.allocation),
+                report.revenue_estimate.to_bits(),
+                report.revenue_lower_bound.map(f64::to_bits),
+            )
+        })
+        .collect();
+    let pinned: Vec<(String, u64, u64, Option<u64>)> = PINNED
+        .iter()
+        .map(|&(name, digest, est, lb)| (name.to_string(), digest, est, lb))
+        .collect();
+    assert_eq!(observed, pinned, "solver outputs moved");
+}
