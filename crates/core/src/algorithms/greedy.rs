@@ -58,8 +58,13 @@ pub fn greedy_single<O: RevenueOracle>(
     let budget = instance.budget(ad);
     let mut state = oracle.new_state(ad);
     let mut queue = LazyQueue::with_capacity(candidates.len());
+    // Each candidate is queued once, so a popped node is never in S_i yet.
+    let mut queued = vec![false; instance.num_nodes];
     // Line 1: drop candidates that are infeasible even alone.
     for &v in candidates {
+        if std::mem::replace(&mut queued[v as usize], true) {
+            continue;
+        }
         let rev = oracle.singleton_revenue(ad, v);
         let cost = instance.cost(ad, v);
         if cost + rev > budget {
@@ -76,9 +81,6 @@ pub fn greedy_single<O: RevenueOracle>(
     while let Some(entry) = queue.pop() {
         if stopple.is_some() {
             break;
-        }
-        if state.contains(entry.node) {
-            continue;
         }
         let gain = oracle.marginal_gain(&state, entry.node);
         let cost = instance.cost(ad, entry.node);
@@ -222,6 +224,26 @@ mod tests {
         let out = greedy_single(&inst, &o, 0, &all);
         let cost = inst.set_cost(0, &out.selected);
         assert!(cost + out.selected_revenue <= 15.0 + 1e-9);
+    }
+
+    #[test]
+    fn duplicate_candidates_change_nothing() {
+        for budget in [7.0, 11.0, 20.0] {
+            let (g, m, inst) = stars_instance(budget);
+            let o = ExactRevenueOracle::new(&g, &m, &inst);
+            let unique: Vec<NodeId> = (0..12).collect();
+            let repeated: Vec<NodeId> = (0..36).map(|i| (i * 5) % 12).collect();
+            let a = greedy_single(&inst, &o, 0, &unique);
+            let b = greedy_single(&inst, &o, 0, &repeated);
+            assert_eq!(a.selected, b.selected, "budget {budget}");
+            assert_eq!(a.stopple, b.stopple, "budget {budget}");
+            assert_eq!(a.selected_revenue.to_bits(), b.selected_revenue.to_bits());
+            assert_eq!(a.stopple_revenue.to_bits(), b.stopple_revenue.to_bits());
+            let mut seen = a.selected.clone();
+            seen.sort_unstable();
+            seen.dedup();
+            assert_eq!(seen.len(), a.selected.len(), "a seed is selected once");
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Oracle-setting algorithms of Section 3 (Algorithms 1–5).
 
 pub mod greedy;
+#[cfg(test)]
+mod reference;
 pub mod rm_oracle;
 pub mod search;
 pub mod threshold_greedy;

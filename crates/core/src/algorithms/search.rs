@@ -8,8 +8,15 @@
 //! endpoint, otherwise the new right endpoint. The loop stops when the
 //! interval is relatively short (`(1+τ)γ_1 ≥ γ_2`) or γ_2 has become
 //! negligible (`γ_2 ≤ min_i cpe(i) / (h+6)`).
+//!
+//! One pass over the `n·h` singleton revenues computes `γ_max` and the
+//! list of singleton-feasible pairs; every `ThresholdGreedy` and `Fill`
+//! call of the search filters that list instead of querying the oracle
+//! again, and prunes the pairs that provably cannot be chosen (see
+//! [`crate::algorithms::threshold_greedy`] for the rules and why every
+//! result stays bit-identical to the eager algorithms).
 
-use crate::algorithms::threshold_greedy::threshold_greedy;
+use crate::algorithms::threshold_greedy::{singleton_pass, threshold_greedy_over};
 use crate::oracle::{marginal_rate, RevenueOracle};
 use crate::problem::{Allocation, RmInstance};
 use rmsa_graph::NodeId;
@@ -72,7 +79,7 @@ pub fn search<O: RevenueOracle>(
     let min_cpe = (0..h)
         .map(|i| instance.cpe(i))
         .fold(f64::INFINITY, f64::min);
-    let gmax = gamma_max(instance, oracle);
+    let (singletons, gmax) = singleton_pass(instance, oracle);
 
     let mut gamma1 = 0.0f64;
     let mut gamma2 = (1.0 + tau) * gmax;
@@ -87,7 +94,7 @@ pub fn search<O: RevenueOracle>(
 
     loop {
         iterations += 1;
-        let outcome = threshold_greedy(instance, oracle, gamma);
+        let outcome = threshold_greedy_over(instance, oracle, gamma, &singletons);
         let revenue = oracle.allocation_revenue(&outcome.allocation.seed_sets);
         if revenue > best_revenue {
             best_revenue = revenue;

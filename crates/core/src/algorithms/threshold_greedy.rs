@@ -12,13 +12,47 @@
 //! single-advertiser `Greedy` run over the unassigned nodes provides the
 //! fallback set `A_i` needed by the analysis. Finally `Fill` spends any
 //! remaining budget greedily by marginal rate.
+//!
+//! **Pruning.** `Search` runs both once per binary-search step, so they
+//! skip the candidates that provably cannot change the result. Every rule
+//! rests on one bound: a fresh gain `π_i(v | S_i)` never exceeds the
+//! singleton revenue `π_i({v})`, and `ζ = gain / (cost + gain)` is
+//! non-decreasing in the gain, so a pair's singleton rate times
+//! `1 + 4ε` (the slack covers the rounding of the two rate evaluations)
+//! bounds each of its fresh rates. For an oracle that guarantees the gain
+//! bound bit-exactly ([`RevenueOracle::GAINS_BOUNDED_BY_SINGLETONS`], the
+//! RR estimator) the rules are:
+//!
+//! * *Threshold prefilter.* `ThresholdGreedy` never enqueues a pair whose
+//!   bound is below `γ / B_i`: line 5 would drop it on every pop, and a
+//!   dropped pair has no side effect.
+//! * *Lazy `Fill`.* `Fill` keys its initial entries by the bound and marks
+//!   them stale, instead of evaluating a fresh gain per unassigned pair up
+//!   front. A pop is processed only when its key is fresh, and every other
+//!   key bounds its own fresh rate, so the processed entry is still the
+//!   one with the largest `(fresh rate, node, ad)`, exactly as in the eager
+//!   order. Before any gain is computed, an entry is dropped once
+//!   `c_i(S_i) + c_i(v) + π_i(S_i) > B_i`: cost and revenue only grow and
+//!   gains are non-negative, so it could never be admitted, and `Fill`
+//!   discards an inadmissible entry without a side effect.
+//! * *One singleton pass.* [`singleton_pass`] lists the singleton-feasible
+//!   pairs once; `Search` computes `γ_max` in the same pass and hands the
+//!   list to every call, which filters it and heapifies in O(k).
+//!
+//! Allocations, seed order, `b` and every revenue bit therefore equal those
+//! of the eager algorithms. Other oracles keep the eager evaluation (the
+//! Monte-Carlo estimate is not submodular), but share the singleton pass.
 
 use crate::algorithms::greedy::greedy_single;
 use crate::oracle::{marginal_rate, RevenueOracle, SeedState};
 use crate::problem::{Allocation, RmInstance};
-use crate::util::LazyQueue;
+use crate::util::{LazyEntry, LazyQueue};
 use rmsa_diffusion::AdId;
 use rmsa_graph::NodeId;
+
+/// Version stamp of a `Fill` entry whose key is only an upper bound. Real
+/// versions count an advertiser's seeds and never reach it.
+const STALE: u32 = u32::MAX;
 
 /// Result of `ThresholdGreedy(γ)`.
 #[derive(Clone, Debug)]
@@ -31,11 +65,57 @@ pub struct ThresholdGreedyOutcome {
     pub b: usize,
 }
 
+/// One pass over all `(node, ad)` pairs: the singleton-feasible ones
+/// (`c_i(v) + π_i({v}) ≤ B_i`) as version-0 entries keyed by singleton
+/// revenue, and `γ_max` (Eq. 6), which ranges over every pair.
+pub(crate) fn singleton_pass<O: RevenueOracle>(
+    instance: &RmInstance,
+    oracle: &O,
+) -> (Vec<LazyEntry>, f64) {
+    let n = instance.num_nodes;
+    let mut feasible = Vec::with_capacity(n * instance.num_ads());
+    let mut gamma_max = 0.0f64;
+    for ad in 0..instance.num_ads() {
+        let budget = instance.budget(ad);
+        for v in 0..n as NodeId {
+            let rev = oracle.singleton_revenue(ad, v);
+            let cost = instance.cost(ad, v);
+            gamma_max = gamma_max.max(budget * marginal_rate(rev, cost));
+            if cost + rev <= budget {
+                feasible.push(LazyEntry {
+                    key: rev,
+                    node: v,
+                    ad,
+                    version: 0,
+                });
+            }
+        }
+    }
+    (feasible, gamma_max)
+}
+
+/// An upper bound on every fresh marginal rate of a pair whose gains never
+/// exceed `singleton_revenue`: the computed rate is within a factor
+/// `1 ± ε` of the exact one, so `1 + 4ε` covers both evaluations.
+fn rate_bound(singleton_revenue: f64, cost: f64) -> f64 {
+    marginal_rate(singleton_revenue, cost) * (1.0 + 4.0 * f64::EPSILON)
+}
+
 /// Run `ThresholdGreedy(γ)` (Algorithm 2), including the final `Fill` pass.
 pub fn threshold_greedy<O: RevenueOracle>(
     instance: &RmInstance,
     oracle: &O,
     gamma: f64,
+) -> ThresholdGreedyOutcome {
+    threshold_greedy_over(instance, oracle, gamma, &singleton_pass(instance, oracle).0)
+}
+
+/// `ThresholdGreedy(γ)` over the pairs of a [`singleton_pass`].
+pub(crate) fn threshold_greedy_over<O: RevenueOracle>(
+    instance: &RmInstance,
+    oracle: &O,
+    gamma: f64,
+    singletons: &[LazyEntry],
 ) -> ThresholdGreedyOutcome {
     let h = instance.num_ads();
     let n = instance.num_nodes;
@@ -50,18 +130,14 @@ pub fn threshold_greedy<O: RevenueOracle>(
     let mut depleted_count = 0usize;
 
     // Line 1: M holds every singleton-feasible (node, ad) pair, keyed by the
-    // marginal gain π_j(v | S_j), initially the singleton revenue.
-    let mut queue = LazyQueue::with_capacity(n * h);
-    for ad in 0..h {
-        let budget = instance.budget(ad);
-        for v in 0..n as NodeId {
-            let rev = oracle.singleton_revenue(ad, v);
-            let cost = instance.cost(ad, v);
-            if cost + rev <= budget {
-                queue.push(rev, v, ad, 0);
-            }
-        }
-    }
+    // marginal gain π_j(v | S_j), initially the singleton revenue. A pair
+    // whose rate can never reach γ / B_j is left out (module docs).
+    let prune = O::GAINS_BOUNDED_BY_SINGLETONS;
+    let mut entries = Vec::with_capacity(singletons.len());
+    entries.extend(singletons.iter().filter(|e| {
+        !prune || rate_bound(e.key, instance.cost(e.ad, e.node)) >= gamma / instance.budget(e.ad)
+    }));
+    let mut queue = LazyQueue::from(entries);
 
     // Lines 3–8: greedy main loop over marginal gains with the rate
     // threshold, the partition constraint, and the budget check.
@@ -102,6 +178,8 @@ pub fn threshold_greedy<O: RevenueOracle>(
             depleted_count += 1;
         }
     }
+    // Fill builds its own queue; keep the peak at two candidate lists.
+    drop(queue);
 
     let depleted: Vec<AdId> = (0..h).filter(|&i| stopples[i].is_some()).collect();
     let b = depleted.len();
@@ -151,7 +229,7 @@ pub fn threshold_greedy<O: RevenueOracle>(
     dedup_allocation(oracle, &mut chosen);
 
     // Line 12: spend remaining budget.
-    let allocation = fill(instance, oracle, chosen);
+    let allocation = fill_over(instance, oracle, chosen, singletons);
 
     ThresholdGreedyOutcome {
         allocation,
@@ -162,7 +240,7 @@ pub fn threshold_greedy<O: RevenueOracle>(
 
 /// Remove duplicate node assignments across advertisers, keeping each node
 /// for the advertiser with the larger singleton revenue.
-fn dedup_allocation<O: RevenueOracle>(oracle: &O, allocation: &mut Allocation) {
+pub(super) fn dedup_allocation<O: RevenueOracle>(oracle: &O, allocation: &mut Allocation) {
     use std::collections::HashMap;
     let mut owner: HashMap<NodeId, AdId> = HashMap::new();
     for ad in 0..allocation.num_ads() {
@@ -193,6 +271,21 @@ pub fn fill<O: RevenueOracle>(
     oracle: &O,
     allocation: Allocation,
 ) -> Allocation {
+    fill_over(
+        instance,
+        oracle,
+        allocation,
+        &singleton_pass(instance, oracle).0,
+    )
+}
+
+/// `Fill(S⃗)` over the pairs of a [`singleton_pass`].
+pub(crate) fn fill_over<O: RevenueOracle>(
+    instance: &RmInstance,
+    oracle: &O,
+    allocation: Allocation,
+    singletons: &[LazyEntry],
+) -> Allocation {
     let h = instance.num_ads();
     let n = instance.num_nodes;
     let mut states: Vec<O::State> = (0..h).map(|i| oracle.new_state(i)).collect();
@@ -207,32 +300,45 @@ pub fn fill<O: RevenueOracle>(
     }
     let mut versions = vec![0u32; h];
 
-    // Line 1: all singleton-feasible pairs, keyed by marginal rate.
-    let mut queue = LazyQueue::with_capacity(n * h);
-    for ad in 0..h {
-        let budget = instance.budget(ad);
-        for v in 0..n as NodeId {
-            if assigned[v as usize] {
-                continue;
-            }
-            let rev = oracle.singleton_revenue(ad, v);
-            let cost = instance.cost(ad, v);
-            if cost + rev <= budget {
-                // Key by the rate w.r.t. the current S_j (upper-bounded by
-                // the singleton rate).
-                let gain = oracle.marginal_gain(&states[ad], v);
-                queue.push(marginal_rate(gain, cost), v, ad, versions[ad]);
-            }
-        }
-    }
+    // Line 1: all unassigned singleton-feasible pairs, keyed by the rate
+    // w.r.t. the current S_j — lazily by its singleton bound (module docs).
+    let lazy = O::GAINS_BOUNDED_BY_SINGLETONS;
+    let mut entries = Vec::with_capacity(singletons.len());
+    entries.extend(
+        singletons
+            .iter()
+            .filter(|e| !assigned[e.node as usize])
+            .map(|e| {
+                let cost = instance.cost(e.ad, e.node);
+                if lazy {
+                    LazyEntry {
+                        key: rate_bound(e.key, cost),
+                        version: STALE,
+                        ..*e
+                    }
+                } else {
+                    let gain = oracle.marginal_gain(&states[e.ad], e.node);
+                    LazyEntry {
+                        key: marginal_rate(gain, cost),
+                        version: versions[e.ad],
+                        ..*e
+                    }
+                }
+            }),
+    );
+    let mut queue = LazyQueue::from(entries);
 
     while let Some(entry) = queue.pop() {
         let ad = entry.ad;
         if assigned[entry.node as usize] {
             continue;
         }
-        let gain = oracle.marginal_gain(&states[ad], entry.node);
         let cost = instance.cost(ad, entry.node);
+        if lazy && cost_sums[ad] + cost + states[ad].revenue() > instance.budget(ad) {
+            // Over budget before any gain; the slack only shrinks.
+            continue;
+        }
+        let gain = oracle.marginal_gain(&states[ad], entry.node);
         let rate = marginal_rate(gain, cost);
         if entry.version != versions[ad] {
             queue.push(rate, entry.node, ad, versions[ad]);

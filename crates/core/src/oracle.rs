@@ -39,6 +39,14 @@ pub trait RevenueOracle {
     /// Incremental per-advertiser state.
     type State: SeedState;
 
+    /// Whether `0 ≤ marginal_gain(s, u) ≤ singleton_revenue(s.ad(), u)`
+    /// holds bit-exactly for every state `s` and node `u`, and
+    /// `s.revenue()` never decreases as seeds are added. `ThresholdGreedy`
+    /// and `Fill` then skip candidates that provably cannot be chosen (see
+    /// [`crate::algorithms::threshold_greedy`]); otherwise they evaluate
+    /// every candidate, as a non-submodular estimate needs.
+    const GAINS_BOUNDED_BY_SINGLETONS: bool = false;
+
     /// Number of advertisers.
     fn num_ads(&self) -> usize;
     /// Number of nodes in the underlying graph.

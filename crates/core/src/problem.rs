@@ -80,9 +80,10 @@ pub struct RmInstance {
 }
 
 impl RmInstance {
-    /// Create an instance, validating dimensions: the cost table must cover
-    /// every node and, for [`SeedCosts::PerAd`], carry exactly one row per
-    /// advertiser.
+    /// Create an instance, validating dimensions and costs: the cost table
+    /// must cover every node, for [`SeedCosts::PerAd`] carry exactly one
+    /// row per advertiser, and hold only non-negative costs. An infinite
+    /// cost is allowed: no budget affords that seed.
     pub fn try_new(
         num_nodes: usize,
         advertisers: Vec<Advertiser>,
@@ -113,6 +114,14 @@ impl RmInstance {
                     actual: row.len(),
                 });
             }
+        }
+        let invalid = |c: &&f64| c.is_nan() || **c < 0.0;
+        let bad_cost = match &costs {
+            SeedCosts::Shared(v) => v.iter().find(invalid),
+            SeedCosts::PerAd(rows) => rows.iter().flatten().find(invalid),
+        };
+        if let Some(&c) = bad_cost {
+            return Err(RmError::invalid_parameter("cost", c, "[0, ∞)"));
         }
         Ok(RmInstance {
             num_nodes,
@@ -390,5 +399,30 @@ mod tests {
             RmInstance::try_new(0, Vec::new(), SeedCosts::Shared(Vec::new())),
             Err(RmError::NoAdvertisers)
         ));
+    }
+
+    #[test]
+    fn negative_and_nan_costs_are_rejected() {
+        let ads = vec![
+            Advertiser::try_new(1.0, 1.0).unwrap(),
+            Advertiser::try_new(1.0, 1.0).unwrap(),
+        ];
+        for bad in [-0.5, f64::NAN, f64::NEG_INFINITY] {
+            let err =
+                RmInstance::try_new(2, ads.clone(), SeedCosts::Shared(vec![1.0, bad])).unwrap_err();
+            assert!(matches!(
+                err,
+                RmError::InvalidParameter { name: "cost", .. }
+            ));
+            let rows = SeedCosts::PerAd(vec![vec![1.0, 1.0], vec![bad, 1.0]]);
+            let err = RmInstance::try_new(2, ads.clone(), rows).unwrap_err();
+            assert!(matches!(
+                err,
+                RmError::InvalidParameter { name: "cost", .. }
+            ));
+        }
+        // Free seeds and unaffordable ones make a valid instance.
+        let costs = SeedCosts::Shared(vec![0.0, f64::INFINITY]);
+        assert!(RmInstance::try_new(2, ads, costs).is_ok());
     }
 }

@@ -136,6 +136,10 @@ impl RrSeedState {
 impl RevenueOracle for RrRevenueEstimator {
     type State = RrSeedState;
 
+    // A gain counts the uncovered sets among the very runs a singleton
+    // count sums, and both scale by one factor; coverage only grows.
+    const GAINS_BOUNDED_BY_SINGLETONS: bool = true;
+
     fn num_ads(&self) -> usize {
         self.view.num_ads()
     }

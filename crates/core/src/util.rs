@@ -48,35 +48,17 @@ impl Ord for LazyEntry {
 }
 
 /// A CELF lazy-greedy priority queue over `(node, advertiser)` candidates.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct LazyQueue {
     heap: BinaryHeap<LazyEntry>,
 }
 
-#[cfg_attr(not(test), allow(dead_code))]
 impl LazyQueue {
-    /// Empty queue.
-    pub fn new() -> Self {
-        LazyQueue {
-            heap: BinaryHeap::new(),
-        }
-    }
-
     /// Empty queue with reserved capacity.
     pub fn with_capacity(cap: usize) -> Self {
         LazyQueue {
             heap: BinaryHeap::with_capacity(cap),
         }
-    }
-
-    /// Number of entries currently queued.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no candidates remain.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// Insert a candidate with the given cached key.
@@ -96,23 +78,43 @@ impl LazyQueue {
     }
 }
 
+impl From<Vec<LazyEntry>> for LazyQueue {
+    /// Heapify `entries` in O(n). Entries order totally by
+    /// `(key, node, ad)`, so the pop sequence equals that of pushing them
+    /// one by one.
+    fn from(entries: Vec<LazyEntry>) -> Self {
+        debug_assert!(
+            entries.iter().all(|e| !e.key.is_nan()),
+            "heap keys must not be NaN"
+        );
+        LazyQueue {
+            heap: BinaryHeap::from(entries),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn drain(q: &mut LazyQueue) -> Vec<(f64, NodeId, AdId)> {
+        std::iter::from_fn(|| q.pop().map(|e| (e.key, e.node, e.ad))).collect()
+    }
+
     #[test]
     fn pops_in_descending_key_order() {
-        let mut q = LazyQueue::new();
+        let mut q = LazyQueue::with_capacity(3);
         q.push(1.0, 0, 0, 0);
         q.push(5.0, 1, 0, 0);
         q.push(3.0, 2, 1, 0);
-        let keys: Vec<f64> = std::iter::from_fn(|| q.pop().map(|e| e.key)).collect();
+        let keys: Vec<f64> = drain(&mut q).into_iter().map(|e| e.0).collect();
         assert_eq!(keys, vec![5.0, 3.0, 1.0]);
+        assert!(q.pop().is_none());
     }
 
     #[test]
     fn ties_are_broken_deterministically() {
-        let mut q = LazyQueue::new();
+        let mut q = LazyQueue::with_capacity(2);
         q.push(2.0, 3, 0, 0);
         q.push(2.0, 7, 0, 0);
         assert_eq!(q.pop().unwrap().node, 7);
@@ -120,12 +122,20 @@ mod tests {
     }
 
     #[test]
-    fn len_and_is_empty_track_contents() {
-        let mut q = LazyQueue::with_capacity(4);
-        assert!(q.is_empty());
-        q.push(1.0, 0, 0, 0);
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert!(q.is_empty());
+    fn heapify_pops_exactly_like_pushing() {
+        let entries: Vec<LazyEntry> = (0..40u32)
+            .map(|i| LazyEntry {
+                key: f64::from((i * 7) % 5),
+                node: i % 6,
+                ad: (i as usize) % 3,
+                version: i,
+            })
+            .collect();
+        let mut pushed = LazyQueue::with_capacity(entries.len());
+        for e in &entries {
+            pushed.push(e.key, e.node, e.ad, e.version);
+        }
+        let mut heapified = LazyQueue::from(entries);
+        assert_eq!(drain(&mut heapified), drain(&mut pushed));
     }
 }

@@ -226,7 +226,9 @@ impl Dataset {
     /// model and its multiplier α. Singleton spreads are estimated with
     /// `rr_per_ad` RR-sets per advertiser.
     // The cost table is built from this dataset's own graph and spreads,
-    // so the dimension checks in `try_new` hold by construction.
+    // so the dimension checks in `try_new` hold by construction, and
+    // `IncentiveModel::cost` never yields a negative or NaN cost (an α
+    // large enough to overflow gives +∞, which `try_new` accepts).
     #[allow(clippy::unwrap_used)]
     pub fn build_instance(
         &self,
@@ -245,7 +247,8 @@ impl Dataset {
     /// Assemble an instance from precomputed singleton spreads (avoids
     /// re-estimating them when sweeping α, as the experiments do).
     // The spread rows are per-node vectors produced by
-    // `singleton_spreads`, so the dimension checks hold by construction.
+    // `singleton_spreads`, so the dimension checks hold by construction;
+    // the costs are valid as in `build_instance`.
     #[allow(clippy::unwrap_used)]
     pub fn build_instance_from_spreads(
         &self,
@@ -362,5 +365,15 @@ mod tests {
         for u in 0..10u32 {
             assert!((b.cost(0, u) - 2.0 * a.cost(0, u)).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn an_overflowing_alpha_builds_an_instance_with_unaffordable_seeds() {
+        let d = Dataset::build(DatasetKind::LastfmSyn, 1, 0.05, 3);
+        let spreads = d.singleton_spreads(1_000, 4);
+        let ads = vec![Advertiser::try_new(100.0, 1.0).unwrap()];
+        let inst = d.build_instance_from_spreads(ads, &spreads, IncentiveModel::SuperLinear, 1e308);
+        let n = inst.num_nodes as u32;
+        assert!((0..n).any(|u| inst.cost(0, u) == f64::INFINITY));
     }
 }

@@ -45,6 +45,21 @@ static MEMO_MISSES: LazyCounter = LazyCounter::new(names::MEMO_MISSES);
 /// interchangeable bit-for-bit.
 type SolveClass = (&'static str, &'static str, u64, bool);
 
+fn solve_class(request: &SolveRequest) -> SolveClass {
+    (
+        request.algorithm.name(),
+        request.incentive.label(),
+        request.alpha.to_bits(),
+        request.evaluate,
+    )
+}
+
+/// Most solve classes a session memoizes. Far above the few dozen classes
+/// a hot workload repeats; it bounds the memory a stream of distinct
+/// requests can pin. A full memo is emptied before the next insert, so a
+/// hot class costs one re-solve per `MEMO_CAPACITY` new classes.
+pub(crate) const MEMO_CAPACITY: usize = 1024;
+
 /// Cache fingerprint a request routes to: every request with the same key
 /// shares one workbench and therefore one RR-set cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,7 +130,7 @@ pub struct Session {
     /// makes solves pure *per warm history*, not across histories).
     pub(crate) warm_epoch: AtomicUsize,
     /// Memoized solve results by [`SolveClass`], tagged with the warm
-    /// epoch they were computed under.
+    /// epoch they were computed under; at most [`MEMO_CAPACITY`] classes.
     pub(crate) memo: Mutex<BTreeMap<SolveClass, (usize, SolveResult)>>,
     pub(crate) warm_extensions: AtomicUsize,
     pub(crate) served: AtomicUsize,
@@ -258,10 +273,14 @@ impl Session {
         *level = target;
         self.warm_level_hint.store(target, Ordering::Relaxed);
         // Release-publish the new epoch while still holding the warm lock:
-        // memoized results from the old history stop being served.
-        let stale = lock_unpoisoned(&self.memo).len();
-        flight::record(names::MEMO_INVALIDATE, stale as u64, 0);
+        // memoized results from the old history stop being served. Holding
+        // the memo lock too means no old-epoch result is inserted after
+        // the clear.
+        let mut memo = lock_unpoisoned(&self.memo);
+        flight::record(names::MEMO_INVALIDATE, memo.len() as u64, 0);
+        memo.clear();
         self.warm_epoch.fetch_add(1, Ordering::Release);
+        drop(memo);
         WarmOutcome {
             target_rr: target,
             generated: stats.generated() + eval_generated,
@@ -319,12 +338,7 @@ impl Session {
     /// warm-up between compute and insert invalidates the entry via the
     /// epoch tag, so a stale-history result is never served.
     pub fn solve_memoized(&self, request: &SolveRequest) -> Result<SolveResult, RmError> {
-        let class: SolveClass = (
-            request.algorithm.name(),
-            request.incentive.label(),
-            request.alpha.to_bits(),
-            request.evaluate,
-        );
+        let class = solve_class(request);
         let epoch = self.warm_epoch.load(Ordering::Acquire);
         {
             let memo = lock_unpoisoned(&self.memo);
@@ -344,6 +358,9 @@ impl Session {
         // Only cache results whose whole computation happened inside one
         // epoch; a concurrent warm makes this solve's history ambiguous.
         if self.warm_epoch.load(Ordering::Acquire) == epoch {
+            if memo.len() >= MEMO_CAPACITY {
+                memo.clear();
+            }
             memo.insert(class, (epoch, result.clone()));
         }
         Ok(result)
@@ -609,6 +626,47 @@ mod tests {
             "post-warm memo result must match a fresh post-warm solve"
         );
         assert_eq!(session.stats_entry().warm_target, target);
+    }
+
+    #[test]
+    fn the_memo_stays_bounded_and_its_hits_match_fresh_solves() {
+        let registry = SessionRegistry::new(tiny_ctx(), 2);
+        let session = registry.session(key(DatasetKind::LastfmSyn));
+        session.ensure_warm(None);
+        let epoch = session.warm_epoch.load(Ordering::Acquire);
+        let requests: Vec<SolveRequest> = (0..4)
+            .map(|i| {
+                let alpha = 0.1 + 0.01 * i as f64;
+                crate::test_util::solve_request(i, Algorithm::OneBatch, alpha)
+            })
+            .collect();
+        let fresh: Vec<SolveResult> = requests.iter().map(|r| session.solve(r).unwrap()).collect();
+        // Fill the memo with distinct placeholder classes, all but one slot.
+        {
+            let mut memo = lock_unpoisoned(&session.memo);
+            for i in 0..MEMO_CAPACITY as u64 - 1 {
+                memo.insert(("rma", "linear", i, true), (epoch, fresh[0].clone()));
+            }
+        }
+        // The first request takes the last slot; the second finds the memo
+        // full, empties it and is memoized on its own.
+        for (request, fresh) in requests.iter().zip(&fresh) {
+            assert_eq!(&session.solve_memoized(request).unwrap(), fresh);
+            assert!(lock_unpoisoned(&session.memo).len() <= MEMO_CAPACITY);
+        }
+        assert_eq!(lock_unpoisoned(&session.memo).len(), 3);
+        // Hits on the held classes are bit-identical to fresh solves.
+        for (request, fresh) in requests.iter().zip(&fresh).skip(1) {
+            let memoized = lock_unpoisoned(&session.memo)
+                .get(&solve_class(request))
+                .map(|(_, r)| r.clone());
+            assert_eq!(memoized.as_ref(), Some(fresh));
+            assert_eq!(&session.solve_memoized(request).unwrap(), fresh);
+        }
+        assert_eq!(lock_unpoisoned(&session.memo).len(), 3);
+        // A warm-up clears the memo instead of leaving stale entries.
+        session.ensure_warm(Some(session.default_target() + 64));
+        assert_eq!(lock_unpoisoned(&session.memo).len(), 0);
     }
 
     #[test]

@@ -58,8 +58,8 @@ pub enum ErrorCode {
     UnknownStrategy,
     /// Unknown incentive-model name.
     UnknownIncentive,
-    /// A parameter value outside its admissible range (e.g. a negative
-    /// or non-finite α).
+    /// A parameter value outside its admissible range (e.g. a zero,
+    /// negative or non-finite α).
     InvalidParameter,
     /// The daemon is draining and refused the request.
     ShuttingDown,
@@ -1452,16 +1452,17 @@ pub fn parse_dataset(name: &str) -> Result<DatasetKind, WireError> {
 }
 
 /// Validate the incentive scale of a solve request at the wire boundary:
-/// a negative or non-finite α would turn into negative/NaN seed costs and
-/// reach the solvers, so it is refused with a typed error before a worker
-/// ever sees the request.
+/// `IncentiveModel::cost` panics on an α that is not positive, and a
+/// non-finite α would give NaN seed costs, so either is refused with a
+/// typed error before a worker ever sees the request. A finite α whose
+/// costs overflow is valid: those seeds cost +∞ and are never affordable.
 pub fn parse_alpha(alpha: f64) -> Result<f64, WireError> {
-    if alpha.is_finite() && alpha >= 0.0 {
+    if alpha.is_finite() && alpha > 0.0 {
         Ok(alpha)
     } else {
         Err(WireError::new(
             ErrorCode::InvalidParameter,
-            format!("alpha must be finite and >= 0, got {alpha}"),
+            format!("alpha must be finite and > 0, got {alpha}"),
         ))
     }
 }

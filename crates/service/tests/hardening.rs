@@ -63,6 +63,7 @@ fn no_wire_request_can_kill_the_single_worker() {
         r#"{"schema_version":1,"id":2,"op":"warp"}"#,
         r#"{"schema_version":1,"id":3,"op":"solve","dataset":"nope","algorithm":"rma","alpha":0.1}"#,
         r#"{"schema_version":1,"id":4,"op":"solve","dataset":"lastfm-syn","algorithm":"rma","alpha":-0.5}"#,
+        r#"{"schema_version":1,"id":12,"op":"solve","dataset":"lastfm-syn","algorithm":"rma","alpha":0}"#,
         r#"{"schema_version":1,"id":5,"op":"solve","dataset":"lastfm-syn","algorithm":"sorcery","alpha":0.1}"#,
         r#"{"schema_version":1,"id":6,"op":"solve","dataset":"lastfm-syn","algorithm":"rma","alpha":0.1,"incentive":"bribes"}"#,
         // v2 shapes: missing id, missing alpha, unknown op.
@@ -91,6 +92,19 @@ fn no_wire_request_can_kill_the_single_worker() {
     assert_eq!(solve.id, 8);
     assert_eq!(solve.result.rr_generated, 0, "warm invariant");
     assert!(!solve.result.allocation_digest.is_empty());
+    // An α so large that seed costs overflow to +∞ is still a valid
+    // query: no seed is affordable, and the answer is an empty allocation.
+    for algorithm in [Algorithm::Rma, Algorithm::OneBatch] {
+        let huge = call(&Request::Solve(solve_request(9, algorithm, 1e308)).render());
+        let Response::Solve(huge) = huge else {
+            panic!("expected a solve response, got {huge:?}");
+        };
+        assert_eq!(huge.result.seeds, 0);
+        assert!(huge.result.feasible);
+    }
+    // The lone worker keeps serving.
+    let again = call(&Request::Solve(solve_request(13, Algorithm::Rma, 0.2)).render());
+    assert!(matches!(again, Response::Solve(_)), "got {again:?}");
 
     handle.shutdown();
     handle.wait();

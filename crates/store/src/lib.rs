@@ -1084,11 +1084,19 @@ mod tests {
         assert_eq!(bytes.len(), expect);
     }
 
+    /// A fresh temp directory owned by one test of one process, so a
+    /// test that inspects its directory never sees another's files.
+    fn test_dir(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("rmsa_store_{test}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        dir
+    }
+
     #[test]
     fn mapped_and_owned_reads_agree_and_mapped_columns_borrow() {
-        let dir = std::env::temp_dir().join("rmsa_store_test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join(format!("mapped-{}.rmsnap", std::process::id()));
+        let dir = test_dir("mapped");
+        let path = dir.join("mapped.rmsnap");
         let mut w = SnapshotWriter::new();
         let s = w.section(section::GRAPH);
         s.put_u8(1); // deliberately misalign the write position first
@@ -1122,7 +1130,7 @@ mod tests {
         assert_eq!(c.get_u32_vec("a").expect("a"), &a[..]);
         assert_eq!(c.get_usize_vec("b").expect("b"), &b[..]);
         assert_eq!(c.get_u64_vec("d").expect("d"), &d[..]);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1216,8 +1224,7 @@ mod tests {
 
     #[test]
     fn file_roundtrip_is_atomic_and_lossless() {
-        let dir = std::env::temp_dir().join("rmsa_store_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("roundtrip");
         let path = dir.join("roundtrip.rmsnap");
         let bytes = sample_snapshot();
         write_file(&path, &bytes).unwrap();
@@ -1233,6 +1240,7 @@ mod tests {
         assert_eq!(read_file(&path).unwrap(), bytes);
         std::fs::remove_file(&path).ok();
         assert!(matches!(read_file(&path).unwrap_err(), StoreError::Io(_)));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
